@@ -21,21 +21,17 @@
 //! Training is centralized, execution decentralized: at run time each taxi
 //! only needs its own context and the shared broadcast observation.
 
-use crate::features::{FeatureExtractor, RegionFeatureCache, SA_DIM, STATE_DIM};
+use crate::features::{SA_DIM, STATE_DIM};
 use crate::transition::TransitionTracker;
-use fairmove_city::{SimTime, TimeSlot};
+use crate::wave::WaveDispatcher;
 use fairmove_rl::loss::{policy_gradient_logits, softmax};
-use fairmove_rl::{
-    Activation, Adam, Matrix, Mlp, MlpWorkspace, Optimizer, QuantWorkspace, QuantizedMlp,
-    ReplayBuffer,
-};
+use fairmove_rl::{Activation, Adam, Matrix, Mlp, Optimizer, QuantizedMlp, ReplayBuffer};
 use fairmove_sim::{
-    Action, DecisionContext, DisplacementPolicy, ObservationView, SlotFeedback, SlotObservation,
-    WorkingObservation,
+    Action, DecisionContext, DisplacementPolicy, SlotFeedback, SlotObservation, WorkingObservation,
 };
 use fairmove_telemetry::{Counter, Gauge, Telemetry};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Training-diagnostic handles, registered once in
 /// [`DisplacementPolicy::set_telemetry`]. Recording is read-only with respect
@@ -101,12 +97,12 @@ pub struct Cma2cConfig {
     /// charge actions are admissible; the prior encodes "charging is the
     /// exception" while remaining fully overridable by the learned logits.
     pub charge_logit_prior: f64,
-    /// Maximum number of queued decisions featurized and scored in one
-    /// stacked actor forward pass. Batching amortizes per-call matmul
-    /// overhead; commits still apply sequentially, and any decision whose
-    /// features were touched by an earlier commit in the same wave is
-    /// re-scored in the next wave, so results are bit-identical to
-    /// `max_wave: 1` (the fully serial dispatcher).
+    /// Maximum number of queued decisions in one dispatch wave (one
+    /// feature-cache refresh, scored lazily in stacked chunks). Commits
+    /// still apply sequentially, and any decision whose features were
+    /// touched by an earlier commit in the same wave is re-scored in the
+    /// next wave, so results are bit-identical to `max_wave: 1` (the fully
+    /// serial dispatcher, kept as the tests' reference).
     pub max_wave: usize,
     /// RNG seed.
     pub seed: u64,
@@ -145,26 +141,6 @@ impl Default for Cma2cConfig {
     }
 }
 
-/// First-wave size for the batched dispatcher: big enough to amortize the
-/// stacked forward, small enough that a herding-heavy first slot wastes
-/// little featurization work.
-const INITIAL_WAVE: usize = 16;
-/// Floor for the adaptive wave size — below this the stacked forward no
-/// longer pays for its setup.
-const MIN_WAVE: usize = 8;
-/// First lazily scored chunk of a frozen wave, in queued decisions. The
-/// commit loop frequently breaks a wave after a handful of commits (a charge
-/// commit dirties the global view), so the frozen dispatcher featurizes and
-/// forwards rows only as the commit loop actually reaches them: a small
-/// first chunk, doubling up to [`LAZY_CHUNK_MAX`] while commits keep
-/// landing. Rows past the break point are never built or scored. Per-row
-/// actor outputs are independent of batch grouping, so chunked scoring is
-/// bit-identical to scoring the whole wave at once.
-const LAZY_CHUNK_INIT: usize = 4;
-/// Largest lazily scored chunk — big enough to amortize the stacked
-/// forward's setup, small enough to bound wasted rows at a late wave break.
-const LAZY_CHUNK_MAX: usize = 64;
-
 #[derive(Debug, Clone)]
 struct Payload {
     state: Vec<f64>,
@@ -187,7 +163,7 @@ struct Transition {
 /// The FairMove CMA2C policy.
 pub struct Cma2cPolicy {
     config: Cma2cConfig,
-    fx: FeatureExtractor,
+    dispatcher: WaveDispatcher,
     actor: Mlp,
     critic: Mlp,
     target_critic: Mlp,
@@ -195,7 +171,6 @@ pub struct Cma2cPolicy {
     critic_opt: Adam,
     buffer: ReplayBuffer<Transition>,
     tracker: TransitionTracker<Payload>,
-    scratch: DecideScratch,
     rng: StdRng,
     train_steps: u64,
     metrics: Option<Cma2cMetrics>,
@@ -205,6 +180,16 @@ pub struct Cma2cPolicy {
     /// [`Self::set_quantized_serving`]. Serving-only: training always runs
     /// against the exact weights, and every weight mutation drops it.
     serving_quant: Option<QuantizedMlp>,
+}
+
+/// The shared actor network: one logit per `SA_DIM` state–action row.
+/// Both engines' CMA2C policies build it here, so one config seeds
+/// bit-identical initial weights in either.
+pub(crate) fn new_actor(config: &Cma2cConfig) -> Mlp {
+    let mut sizes = vec![SA_DIM];
+    sizes.extend(&config.actor_hidden);
+    sizes.push(1);
+    Mlp::new(&sizes, Activation::Relu, Activation::Linear, config.seed)
 }
 
 /// Reflects an assignment in the working observation so subsequent
@@ -241,164 +226,13 @@ pub(crate) fn stack<R: AsRef<[f64]>>(rows: &[R]) -> Matrix {
     Matrix::from_vec(rows.len(), cols, data)
 }
 
-/// The counts-only version of [`apply_assignment`] for the scratch-backed
-/// dispatcher: commits only ever touch regional vacancy and station inbound,
-/// so the working view reduces to those two owned vectors.
-pub(crate) fn apply_assignment_counts(
-    vacant: &mut [u32],
-    inbound: &mut [u32],
-    ctx: &DecisionContext,
-    action: Action,
-) {
-    match action {
-        Action::Stay => {}
-        Action::MoveTo(dest) => {
-            let o = ctx.region.index();
-            vacant[o] = vacant[o].saturating_sub(1);
-            vacant[dest.index()] += 1;
-        }
-        Action::Charge(station) => {
-            let o = ctx.region.index();
-            vacant[o] = vacant[o].saturating_sub(1);
-            inbound[station.index()] += 1;
-        }
-    }
-}
-
-/// Samples an action index from softmax(`logits`) without allocating.
-///
-/// Bitwise-replicates `softmax(logits)` + cumulative-scan sampling: the same
-/// max-subtraction, the same left-to-right summation of `exp(l − max)`, one
-/// `rng.gen::<f64>()`, and the same `x < acc` comparison per index — so it
-/// consumes the RNG identically to the Vec-allocating original it replaced.
-pub(crate) fn sample_from_logits(rng: &mut StdRng, logits: &[f64]) -> usize {
-    assert!(!logits.is_empty(), "sampling from empty logits");
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let sum: f64 = logits.iter().map(|&l| (l - max).exp()).sum();
-    let x: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, &l) in logits.iter().enumerate() {
-        acc += (l - max).exp() / sum;
-        if x < acc {
-            return i;
-        }
-    }
-    logits.len() - 1
-}
-
-/// Reusable buffers for [`Cma2cPolicy::decide_into`]: the owned working-view
-/// counts, the per-wave feature cache, the flat wave-row matrix fed to the
-/// stacked actor forward, and the inference workspace. Everything is resized
-/// in place, so a frozen policy's decide loop stops allocating once the
-/// buffers have grown to the largest wave seen.
-pub(crate) struct DecideScratch {
-    /// Working vacancy counts (base observation + committed assignments).
-    pub(crate) vacant: Vec<u32>,
-    /// Working station-inbound counts.
-    pub(crate) inbound: Vec<u32>,
-    pub(crate) dirty_region: Vec<bool>,
-    pub(crate) cache: RegionFeatureCache,
-    /// One row per candidate action across the whole wave, `SA_DIM` wide.
-    pub(crate) rows: Matrix,
-    /// Per queued decision: `(first row, candidate count)` into `rows`.
-    pub(crate) spans: Vec<(usize, usize)>,
-    /// Raw actor logits of every wave row scored so far, indexed by the
-    /// wave-global row offsets in `spans` (the commit loop reads scores
-    /// from here, not from the forward workspace, so `rows`/`ws` are free
-    /// to be reused chunk by chunk on the frozen path).
-    pub(crate) wave_logits: Vec<f64>,
-    /// Prior-adjusted logits of the decision currently being committed.
-    pub(crate) logits: Vec<f64>,
-    pub(crate) ws: MlpWorkspace,
-    /// f32 ping-pong buffers for the int8 serving path (empty unless a
-    /// quantized actor is installed).
-    pub(crate) qws: QuantWorkspace,
-    /// Per-chunk logit landing pad for the quantized forward (whose output
-    /// buffer is overwritten per call, while `wave_logits` accumulates).
-    pub(crate) qlogits: Vec<f64>,
-}
-
-impl Default for DecideScratch {
-    fn default() -> Self {
-        DecideScratch {
-            vacant: Vec::new(),
-            inbound: Vec::new(),
-            dirty_region: Vec::new(),
-            cache: RegionFeatureCache::new(),
-            rows: Matrix::zeros(0, 0),
-            spans: Vec::new(),
-            wave_logits: Vec::new(),
-            logits: Vec::new(),
-            ws: MlpWorkspace::new(),
-            qws: QuantWorkspace::new(),
-            qlogits: Vec::new(),
-        }
-    }
-}
-
-/// [`ObservationView`] over the base observation with the dispatcher's
-/// scratch-owned vacancy/inbound counts overlaid — the borrowed-buffer
-/// replacement for [`WorkingObservation`]'s copy-on-write vectors.
-pub(crate) struct ScratchView<'a> {
-    pub(crate) base: &'a SlotObservation,
-    pub(crate) vacant: &'a [u32],
-    pub(crate) inbound: &'a [u32],
-}
-
-impl ObservationView for ScratchView<'_> {
-    fn now(&self) -> SimTime {
-        self.base.now
-    }
-    fn slot(&self) -> TimeSlot {
-        self.base.slot
-    }
-    fn vacant_per_region(&self) -> &[u32] {
-        self.vacant
-    }
-    fn free_points_per_station(&self) -> &[u32] {
-        &self.base.free_points_per_station
-    }
-    fn queue_per_station(&self) -> &[u32] {
-        &self.base.queue_per_station
-    }
-    fn inbound_per_station(&self) -> &[u32] {
-        self.inbound
-    }
-    fn predicted_demand(&self) -> &[f64] {
-        &self.base.predicted_demand
-    }
-    fn waiting_per_region(&self) -> &[u32] {
-        &self.base.waiting_per_region
-    }
-    fn price_now(&self) -> f64 {
-        self.base.price_now
-    }
-    fn price_next_hour(&self) -> f64 {
-        self.base.price_next_hour
-    }
-    fn mean_pe(&self) -> f64 {
-        self.base.mean_pe
-    }
-    fn pf(&self) -> f64 {
-        self.base.pf
-    }
-}
-
 impl Cma2cPolicy {
     /// A fresh CMA2C policy over `city`.
     pub fn new(city: &fairmove_city::City, config: Cma2cConfig) -> Self {
-        let mut actor_sizes = vec![SA_DIM];
-        actor_sizes.extend(&config.actor_hidden);
-        actor_sizes.push(1);
         let mut critic_sizes = vec![STATE_DIM];
         critic_sizes.extend(&config.critic_hidden);
         critic_sizes.push(1);
-        let actor = Mlp::new(
-            &actor_sizes,
-            Activation::Relu,
-            Activation::Linear,
-            config.seed,
-        );
+        let actor = new_actor(&config);
         let critic = Mlp::new(
             &critic_sizes,
             Activation::Relu,
@@ -413,7 +247,7 @@ impl Cma2cPolicy {
         );
         target_critic.copy_params_from(&critic);
         Cma2cPolicy {
-            fx: FeatureExtractor::new(city),
+            dispatcher: WaveDispatcher::new(city, &config),
             actor,
             critic,
             target_critic,
@@ -421,7 +255,6 @@ impl Cma2cPolicy {
             critic_opt: Adam::new(config.critic_lr),
             buffer: ReplayBuffer::new(config.buffer_capacity),
             tracker: TransitionTracker::new(),
-            scratch: DecideScratch::default(),
             rng: StdRng::seed_from_u64(config.seed ^ 0x43_4d41_3243), // "CMA2C"
             train_steps: 0,
             metrics: None,
@@ -535,89 +368,6 @@ impl Cma2cPolicy {
             self.serving_quant = Some(QuantizedMlp::from_mlp(&self.actor));
         }
         Ok(())
-    }
-
-    /// Zeroes the ablated feature groups of one state prefix in place.
-    fn apply_state_ablations(&self, state: &mut [f64]) {
-        // Global-view state features: indices 4..=7 (region supply/demand)
-        // and 10 (fleet pressure). Fairness features: 11 and 12.
-        if self.config.ablate_global_view {
-            for &i in &[4usize, 5, 6, 7, 10] {
-                state[i] = 0.0;
-            }
-        }
-        if self.config.ablate_fairness_features {
-            for &i in &[11usize, 12] {
-                state[i] = 0.0;
-            }
-        }
-    }
-
-    /// Featurizes and scores wave entries `[from, to)` against the current
-    /// per-wave feature cache, appending their raw actor logits to
-    /// `scratch.wave_logits` (one per candidate row, in wave order).
-    ///
-    /// `scratch.rows` is resized to just this chunk; the logits land at the
-    /// wave-global row offsets recorded in `scratch.spans` because entries
-    /// are always scored in order. The feature cache is frozen for the
-    /// whole wave and each actor output row depends only on its own input
-    /// row, so the logits are bitwise independent of how the wave is
-    /// chunked — scoring lazily in pieces equals one stacked forward.
-    fn score_wave_entries(
-        &self,
-        s: &mut DecideScratch,
-        wave: &[DecisionContext],
-        from: usize,
-        to: usize,
-    ) {
-        if from == to {
-            return;
-        }
-        let base_row = s.spans[from].0;
-        let (last_row0, last_n) = s.spans[to - 1];
-        let chunk_rows = last_row0 + last_n - base_row;
-        s.rows.resize_in_place(chunk_rows, SA_DIM);
-        for (k, ctx) in wave[from..to].iter().enumerate() {
-            let row0 = s.spans[from + k].0 - base_row;
-            let mut state = [0.0f64; STATE_DIM];
-            self.fx.write_state_cached(&s.cache, ctx, &mut state);
-            self.apply_state_ablations(&mut state);
-            for (j, &a) in ctx.actions.actions().iter().enumerate() {
-                let row = s.rows.row_mut(row0 + j);
-                row[..STATE_DIM].copy_from_slice(&state);
-                self.fx
-                    .write_action_cached(&s.cache, ctx, a, &mut row[STATE_DIM..]);
-            }
-        }
-        let _trace_matmul = fairmove_telemetry::trace_span!("matmul", chunk_rows as u64);
-        match &self.serving_quant {
-            // The actor head is one logit wide, so the quantized forward's
-            // flat `rows × 1` output is exactly this chunk's logits.
-            Some(q) => {
-                q.forward_into(&s.rows, &mut s.qws, &mut s.qlogits);
-                s.wave_logits.extend_from_slice(&s.qlogits);
-            }
-            None => {
-                let logits_m = self.actor.forward_scratch(&s.rows, &mut s.ws);
-                s.wave_logits
-                    .extend((0..chunk_rows).map(|r| logits_m.get(r, 0)));
-            }
-        }
-    }
-
-    /// Zeroes the ablated feature groups in place (state prefix is shared
-    /// by every candidate row). The hot path ablates the stack-local state
-    /// prefix directly via [`Self::apply_state_ablations`]; this whole-row
-    /// form remains as the reference the ablation test checks against.
-    #[cfg(test)]
-    fn apply_ablations(&self, state: &mut [f64], candidates: &mut [Vec<f64>]) {
-        if !self.config.ablate_global_view && !self.config.ablate_fairness_features {
-            return;
-        }
-        self.apply_state_ablations(state);
-        for c in candidates.iter_mut() {
-            self.apply_state_ablations(&mut c[..crate::features::STATE_DIM]);
-        }
     }
 
     fn train(&mut self) {
@@ -747,173 +497,42 @@ impl DisplacementPolicy for Cma2cPolicy {
         // already made this slot, so later taxis see station inbound counts
         // and regional supply updated by earlier assignments. Without this,
         // every co-located taxi would see the same stale snapshot and herd.
-        //
-        // Featurizing and scoring one taxi at a time makes that sequential
-        // semantics trivially correct but spends the whole slot in tiny
-        // actor forwards. Instead we score decisions in *waves*: featurize
-        // up to `max_wave` queued decisions against the current working
-        // view (via the per-wave feature cache — the view is immutable
-        // within a wave, so shared aggregates are computed once), run
-        // stacked forward passes over flat row matrices, then commit
-        // sequentially — stopping the wave early at the first decision
-        // whose features were touched by an earlier commit (its region's
-        // vacancy changed, a move dirtied one of its candidate
-        // destinations, or a charge commit shifted the global
-        // supply/inbound counts). Because those breaks are common, the
-        // frozen path featurizes and forwards lazily in doubling chunks as
-        // the commit loop advances (see [`LAZY_CHUNK_INIT`]), so rows past
-        // a break are never scored at all. Uncommitted decisions are
-        // re-featurized in the next wave, so every sampled action sees
-        // exactly the view the serial dispatcher would have shown it, and
-        // the RNG is consumed in the same order: outputs are bit-identical
-        // to `max_wave: 1`.
-        //
-        // All working storage lives in `self.scratch`; a frozen policy's
-        // decide loop performs no heap allocation once the buffers have
-        // warmed up to the largest wave seen.
-        out.clear();
-        let mut s = std::mem::take(&mut self.scratch);
-        s.vacant.clear();
-        s.vacant.extend_from_slice(&obs.vacant_per_region);
-        s.inbound.clear();
-        s.inbound.extend_from_slice(&obs.inbound_per_station);
-        s.dirty_region.clear();
-        s.dirty_region.resize(obs.vacant_per_region.len(), false);
-        let mut wave_cap = INITIAL_WAVE.clamp(1, self.config.max_wave.max(1));
-        let mut i = 0;
-        let mut wave_index = 0u64;
-        while i < decisions.len() {
-            let _trace_wave = fairmove_telemetry::trace_span!("wave", wave_index);
-            wave_index += 1;
-            let end = (i + wave_cap).min(decisions.len());
-            {
-                let view = ScratchView {
-                    base: obs,
-                    vacant: &s.vacant,
-                    inbound: &s.inbound,
+        // The wave dispatcher keeps that sequential semantics while scoring
+        // in stacked forwards (see [`crate::wave`]).
+        let learning = self.learning;
+        let (tracker, buffer) = (&mut self.tracker, &mut self.buffer);
+        self.dispatcher.dispatch(
+            &self.actor,
+            self.serving_quant.as_ref(),
+            obs,
+            decisions,
+            &mut self.rng,
+            out,
+            |ctx, action, rows| {
+                if !learning {
+                    return;
+                }
+                // The training path owns its feature vectors (they live in
+                // the replay buffer across slots), so it clones the rows.
+                let state = rows[..STATE_DIM].to_vec();
+                let candidates = rows.chunks_exact(SA_DIM).map(<[f64]>::to_vec).collect();
+                let payload = Payload {
+                    state: state.clone(),
+                    candidates,
+                    action,
                 };
-                s.cache.refresh(self.fx.city(), &view);
-            }
-            let wave = &decisions[i..end];
-            let mut total_rows = 0usize;
-            s.spans.clear();
-            for ctx in wave {
-                s.spans.push((total_rows, ctx.actions.len()));
-                total_rows += ctx.actions.len();
-            }
-            s.wave_logits.clear();
-            let mut scored = 0usize;
-            let mut chunk = LAZY_CHUNK_INIT;
-            if self.learning {
-                // Training clones each committed entry's feature rows out
-                // of `s.rows` into the replay buffer, so the whole wave is
-                // featurized and scored up front (the wave-global row
-                // offsets in `spans` then address `s.rows` directly). The
-                // frozen path never reads the rows back and scores lazily
-                // inside the commit loop instead: rows past a wave break
-                // are never built or forwarded.
-                self.score_wave_entries(&mut s, wave, 0, wave.len());
-                scored = wave.len();
-            }
-            for d in s.dirty_region.iter_mut() {
-                *d = false;
-            }
-            // Charge commits change total vacancy and station inbound
-            // counts, which feed every remaining entry's features; a move
-            // out of an emptied region (clamped decrement) changes total
-            // vacancy too. Either ends the wave at the next entry.
-            let mut global_dirty = false;
-            let mut committed = 0;
-            for (w, ctx) in wave.iter().enumerate() {
-                if w > 0 {
-                    let stale =
-                        global_dirty
-                            || s.dirty_region[ctx.region.index()]
-                            || ctx.actions.actions().iter().any(
-                                |a| matches!(a, Action::MoveTo(d) if s.dirty_region[d.index()]),
-                            );
-                    if stale {
-                        break;
-                    }
+                if let Some(done) = tracker.begin(ctx.taxi, payload) {
+                    buffer.push(Transition {
+                        state: done.payload.state,
+                        candidates: done.payload.candidates,
+                        action: done.payload.action,
+                        reward: done.reward,
+                        next_state: state,
+                        slots: done.slots,
+                    });
                 }
-                if scored <= w {
-                    // Frozen path: the commit run has outlived the scored
-                    // prefix — score the next chunk, doubling so long runs
-                    // converge on big stacked forwards while early breaks
-                    // waste at most a small chunk.
-                    let to = (scored + chunk).min(wave.len());
-                    self.score_wave_entries(&mut s, wave, scored, to);
-                    scored = to;
-                    chunk = (chunk * 2).min(LAZY_CHUNK_MAX);
-                }
-                let (row0, n_candidates) = s.spans[w];
-                let n_movement = n_candidates - ctx.actions.charge_actions().len();
-                s.logits.clear();
-                s.logits.extend((0..n_candidates).map(|j| {
-                    let prior = if j >= n_movement && !ctx.actions.charge_forced() {
-                        self.config.charge_logit_prior
-                    } else {
-                        0.0
-                    };
-                    s.wave_logits[row0 + j] - prior
-                }));
-                // Algorithm 1 samples from π both in training and execution
-                // — a stochastic policy is what spreads co-located taxis
-                // across stations instead of herding them (deterministic
-                // argmax would send every taxi in a region to the same
-                // charger).
-                let idx = sample_from_logits(&mut self.rng, &s.logits);
-
-                if self.learning {
-                    // The training path owns its feature vectors (they live
-                    // in the replay buffer across slots), so it clones the
-                    // wave rows; the frozen path skips all of this.
-                    let state: Vec<f64> = s.rows.row(row0)[..STATE_DIM].to_vec();
-                    let candidates: Vec<Vec<f64>> = (0..n_candidates)
-                        .map(|j| s.rows.row(row0 + j).to_vec())
-                        .collect();
-                    if let Some(done) = self.tracker.begin(
-                        ctx.taxi,
-                        Payload {
-                            state: state.clone(),
-                            candidates,
-                            action: idx,
-                        },
-                    ) {
-                        self.buffer.push(Transition {
-                            state: done.payload.state,
-                            candidates: done.payload.candidates,
-                            action: done.payload.action,
-                            reward: done.reward,
-                            next_state: state,
-                            slots: done.slots,
-                        });
-                    }
-                }
-                let action = ctx.actions.action(idx);
-                match action {
-                    Action::Stay => {}
-                    Action::MoveTo(dest) => {
-                        if s.vacant[ctx.region.index()] == 0 {
-                            global_dirty = true;
-                        }
-                        s.dirty_region[ctx.region.index()] = true;
-                        s.dirty_region[dest.index()] = true;
-                    }
-                    Action::Charge(_) => global_dirty = true,
-                }
-                apply_assignment_counts(&mut s.vacant, &mut s.inbound, ctx, action);
-                out.push(action);
-                committed += 1;
-            }
-            i += committed;
-            // Adapt the wave to the observed commit run length: herding
-            // pressure (many same-region taxis) shrinks waves toward
-            // MIN_WAVE, quiet slots grow them toward max_wave.
-            let cap = self.config.max_wave.max(1);
-            wave_cap = (committed.max(1) * 2).clamp(MIN_WAVE.min(cap), cap);
-        }
-        self.scratch = s;
+            },
+        );
         if self.learning {
             self.train();
         }
@@ -1069,7 +688,7 @@ mod tests {
             let _ = p.decide(&o, &cs);
             p.observe(&feedback(8, 1.0));
         }
-        let state = p.fx.state(&o, &cs[0]);
+        let state = p.dispatcher.fx().state(&o, &cs[0]);
         let v = p.value(&state);
         assert!(
             (v - 6.0).abs() < 2.0,
@@ -1122,7 +741,7 @@ mod tests {
         // must now be identical.
         let o = obs(&city);
         let c = ctx(&city, 0);
-        let state = p.fx.state(&o, &c);
+        let state = p.dispatcher.fx().state(&o, &c);
         assert_eq!(p.value(&state), q.value(&state));
     }
 
@@ -1137,9 +756,12 @@ mod tests {
         let p = Cma2cPolicy::new(&city, config);
         let o = obs(&city);
         let c = ctx(&city, 0);
-        let mut state = p.fx.state(&o, &c);
-        let mut cands = p.fx.all_state_actions(&o, &c);
-        p.apply_ablations(&mut state, &mut cands);
+        let mut state = p.dispatcher.fx().state(&o, &c);
+        let mut cands = p.dispatcher.fx().all_state_actions(&o, &c);
+        p.dispatcher.apply_state_ablations(&mut state);
+        for cand in &mut cands {
+            p.dispatcher.apply_state_ablations(&mut cand[..STATE_DIM]);
+        }
         for &i in &[4usize, 5, 6, 7, 10, 11, 12] {
             assert_eq!(state[i], 0.0, "state[{i}] not ablated");
             for cand in &cands {
@@ -1206,7 +828,7 @@ mod tests {
         assert!(serial.train_steps() > 0, "training never started");
         assert_eq!(serial.train_steps(), batched.train_steps());
         let c = ctx(&city, 0);
-        let state = serial.fx.state(&obs(&city), &c);
+        let state = serial.dispatcher.fx().state(&obs(&city), &c);
         assert_eq!(
             serial.value(&state),
             batched.value(&state),

@@ -37,6 +37,7 @@ pub mod shard;
 pub mod tba;
 pub mod tql;
 pub mod transition;
+mod wave;
 
 pub use cma2c::{Cma2cConfig, Cma2cPolicy};
 pub use dqn::{DqnConfig, DqnPolicy};

@@ -1,12 +1,13 @@
 //! Frozen CMA2C inference inside sharded slot steps.
 //!
 //! [`Cma2cShardPolicy`] adapts the paper's actor to the sharded engine's
-//! [`ShardPolicy`] contract: per-region wave-batched scoring against the
-//! *previous slot's* frozen global observation, sampling from π with the
-//! region's own RNG stream at commit time. The actor network, feature
-//! extractor, charge-logit prior, and wave/commit semantics are the ones the
-//! minute engine's dispatcher uses ([`crate::cma2c`]) — only the working
-//! view is scoped differently:
+//! [`ShardPolicy`] contract. Each `decide_region` call hands one region's
+//! contexts to the same wave dispatcher the minute engine's
+//! [`Cma2cPolicy`](crate::cma2c::Cma2cPolicy) runs (`crate::wave`): lazily
+//! chunked scoring against the *previous slot's* frozen global observation,
+//! one sample from π per context drawn from the region's own RNG stream at
+//! commit time, and `max_wave: 1` as the serial reference. Only the
+//! context slice differs from the minute engine:
 //!
 //! * the minute engine's centralized dispatcher threads one working view
 //!   through *every* region's decisions in a slot, so a commit in region 3
@@ -28,27 +29,23 @@
 //! deliberately has no learning path. Weights arrive either from
 //! construction (same seed ⇒ same init as an untrained [`Cma2cPolicy`]) or
 //! via [`Cma2cShardPolicy::load_actor`].
+//!
+//! [`Cma2cPolicy`]: crate::cma2c::Cma2cPolicy
 
-use crate::cma2c::{
-    apply_assignment_counts, sample_from_logits, Cma2cConfig, DecideScratch, ScratchView,
-};
-use crate::features::{FeatureExtractor, SA_DIM, STATE_DIM};
+use crate::cma2c::{new_actor, Cma2cConfig};
+use crate::wave::WaveDispatcher;
 use fairmove_city::{City, RegionId};
-use fairmove_rl::{Activation, Mlp, QuantizedMlp};
+use fairmove_rl::{Mlp, QuantizedMlp};
 use fairmove_sim::{Action, DecisionContext, ShardPolicy, SlotObservation};
 use rand::rngs::StdRng;
 
 /// Frozen CMA2C actor callable from sharded slot steps.
 pub struct Cma2cShardPolicy {
-    fx: FeatureExtractor,
     actor: Mlp,
     /// Int8 snapshot of `actor` when serving quantized
     /// ([`Cma2cShardPolicy::new_quantized`]); rebuilt on `load_actor`.
     quant: Option<QuantizedMlp>,
-    charge_logit_prior: f64,
-    ablate_global_view: bool,
-    ablate_fairness_features: bool,
-    scratch: DecideScratch,
+    dispatcher: WaveDispatcher,
 }
 
 impl Cma2cShardPolicy {
@@ -57,22 +54,10 @@ impl Cma2cShardPolicy {
     /// [`Cma2cPolicy::new`](crate::cma2c::Cma2cPolicy::new), so an untrained
     /// sharded run is comparable to an untrained minute-engine run.
     pub fn new(city: &City, config: &Cma2cConfig) -> Self {
-        let mut actor_sizes = vec![SA_DIM];
-        actor_sizes.extend(&config.actor_hidden);
-        actor_sizes.push(1);
         Cma2cShardPolicy {
-            fx: FeatureExtractor::new(city),
-            actor: Mlp::new(
-                &actor_sizes,
-                Activation::Relu,
-                Activation::Linear,
-                config.seed,
-            ),
+            actor: new_actor(config),
             quant: None,
-            charge_logit_prior: config.charge_logit_prior,
-            ablate_global_view: config.ablate_global_view,
-            ablate_fairness_features: config.ablate_fairness_features,
-            scratch: DecideScratch::default(),
+            dispatcher: WaveDispatcher::new(city, config),
         }
     }
 
@@ -118,21 +103,6 @@ impl Cma2cShardPolicy {
         }
         Ok(())
     }
-
-    /// Zeroes the ablated feature groups of one state prefix (same index
-    /// map as the minute-engine policy).
-    fn apply_state_ablations(&self, state: &mut [f64]) {
-        if self.ablate_global_view {
-            for &i in &[4usize, 5, 6, 7, 10] {
-                state[i] = 0.0;
-            }
-        }
-        if self.ablate_fairness_features {
-            for &i in &[11usize, 12] {
-                state[i] = 0.0;
-            }
-        }
-    }
 }
 
 impl ShardPolicy for Cma2cShardPolicy {
@@ -153,129 +123,22 @@ impl ShardPolicy for Cma2cShardPolicy {
         rng: &mut StdRng,
         out: &mut Vec<Action>,
     ) {
-        out.clear();
-        if ctxs.is_empty() {
-            return;
-        }
-        // Region-local working view over the frozen observation: later
-        // taxis in this region see earlier commits (wave semantics of the
-        // centralized dispatcher, scoped to one region).
-        let mut s = std::mem::take(&mut self.scratch);
-        s.vacant.clear();
-        s.vacant.extend_from_slice(&obs.vacant_per_region);
-        s.inbound.clear();
-        s.inbound.extend_from_slice(&obs.inbound_per_station);
-        s.dirty_region.clear();
-        s.dirty_region.resize(obs.vacant_per_region.len(), false);
-
-        let mut i = 0usize;
-        while i < ctxs.len() {
-            // Featurize the remaining wave against the current working view
-            // (the per-wave cache computes the shared aggregates once).
-            {
-                let view = ScratchView {
-                    base: obs,
-                    vacant: &s.vacant,
-                    inbound: &s.inbound,
-                };
-                s.cache.refresh(self.fx.city(), &view);
-            }
-            let wave = &ctxs[i..];
-            s.spans.clear();
-            let mut total_rows = 0usize;
-            for ctx in wave {
-                s.spans.push((total_rows, ctx.actions.len()));
-                total_rows += ctx.actions.len();
-            }
-            s.rows.resize_in_place(total_rows, SA_DIM);
-            for (k, ctx) in wave.iter().enumerate() {
-                let row0 = s.spans[k].0;
-                let mut state = [0.0f64; STATE_DIM];
-                self.fx.write_state_cached(&s.cache, ctx, &mut state);
-                self.apply_state_ablations(&mut state);
-                for (j, &a) in ctx.actions.actions().iter().enumerate() {
-                    let row = s.rows.row_mut(row0 + j);
-                    row[..STATE_DIM].copy_from_slice(&state);
-                    self.fx
-                        .write_action_cached(&s.cache, ctx, a, &mut row[STATE_DIM..]);
-                }
-            }
-            s.wave_logits.clear();
-            match &self.quant {
-                // The actor head is one logit wide, so the quantized
-                // forward's flat `rows × 1` output is the wave logits.
-                Some(q) => q.forward_into(&s.rows, &mut s.qws, &mut s.wave_logits),
-                None => {
-                    let logits_m = self.actor.forward_scratch(&s.rows, &mut s.ws);
-                    s.wave_logits
-                        .extend((0..total_rows).map(|r| logits_m.get(r, 0)));
-                }
-            }
-
-            // Commit sequentially, breaking the wave at the first decision
-            // whose features an earlier commit touched (every per-row actor
-            // output is independent, so re-scoring the remainder against
-            // the refreshed view is bit-identical to a serial dispatcher).
-            for d in s.dirty_region.iter_mut() {
-                *d = false;
-            }
-            let mut global_dirty = false;
-            let mut committed = 0usize;
-            for (w, ctx) in wave.iter().enumerate() {
-                if w > 0 {
-                    let stale =
-                        global_dirty
-                            || s.dirty_region[ctx.region.index()]
-                            || ctx.actions.actions().iter().any(
-                                |a| matches!(a, Action::MoveTo(d) if s.dirty_region[d.index()]),
-                            );
-                    if stale {
-                        break;
-                    }
-                }
-                let (row0, n_candidates) = s.spans[w];
-                let n_movement = n_candidates - ctx.actions.charge_actions().len();
-                s.logits.clear();
-                s.logits.extend((0..n_candidates).map(|j| {
-                    // "Charging is the exception" prior, fully overridable
-                    // by the learned logits — same constant as the minute
-                    // engine, dropped when charging is forced.
-                    let prior = if j >= n_movement && !ctx.actions.charge_forced() {
-                        self.charge_logit_prior
-                    } else {
-                        0.0
-                    };
-                    s.wave_logits[row0 + j] - prior
-                }));
-                // One sample from π per context, drawn from the *region's*
-                // stream at commit time: the draw count per region is the
-                // context count, which is layout-invariant.
-                let idx = sample_from_logits(rng, &s.logits);
-                let action = ctx.actions.action(idx);
-                match action {
-                    Action::Stay => {}
-                    Action::MoveTo(dest) => {
-                        if s.vacant[ctx.region.index()] == 0 {
-                            global_dirty = true;
-                        }
-                        s.dirty_region[ctx.region.index()] = true;
-                        s.dirty_region[dest.index()] = true;
-                    }
-                    Action::Charge(_) => global_dirty = true,
-                }
-                apply_assignment_counts(&mut s.vacant, &mut s.inbound, ctx, action);
-                out.push(action);
-                committed += 1;
-            }
-            i += committed;
-        }
-        self.scratch = s;
+        self.dispatcher.dispatch(
+            &self.actor,
+            self.quant.as_ref(),
+            obs,
+            ctxs,
+            rng,
+            out,
+            |_, _, _| {},
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::SA_DIM;
     use fairmove_city::CityConfig;
     use fairmove_sim::{ShardPolicyFactory, ShardedEnv, SimConfig};
     use rand::SeedableRng;

@@ -170,7 +170,7 @@ fn chunk_rows(rows: usize, threads: usize) -> usize {
 }
 
 /// A dense row-major `rows × cols` matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

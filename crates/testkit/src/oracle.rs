@@ -12,18 +12,20 @@
 //! | `serial-parallel` | `ordered_map` over worker threads ≡ the serial map |
 //! | `permutation-invariance` | fleet metrics are taxi-id-order invariant |
 //! | `alpha-objective` | Eq. 4 reward is affine in α; α = 1 ignores fairness, α = 0 ignores profit |
-//! | `batched-vs-serial-inference` | wave-batched CMA2C dispatch (`max_wave` > 1) ≡ the fully serial dispatcher, bit-identical ledgers; stacked actor forward ≡ per-row forwards at 1/2/4 matmul workers |
+//! | `batched-vs-serial-inference` | wave-batched CMA2C dispatch (`max_wave` > 1) ≡ the fully serial dispatcher (`max_wave: 1`) on both engines: bit-identical minute-engine ledgers, and equal sharded digests and decision counts on the scenario's (shards, threads) layout; stacked actor forward ≡ per-row forwards at 1/2/4 matmul workers |
 //! | `shard-differential-fidelity` | sharded engine bit-identical across the scenario's (shards, threads) grid; fleet conserved; SoC bounded; queue waits within patience; demand totals within sampling noise of the minute engine (see [`crate::differential`]) |
 //! | `kernel-differential` | scalar ≡ vectorized matmul backends bitwise across the sharded grid; int8-quantized actor tracks the exact actor within logit and TV budgets; quantized serving leaves the demand process inside sampling noise (see [`crate::kernel_diff`]) |
 
 use crate::canon::fnv64;
-use crate::scenario::{PlanMode, RunArtifacts, Scenario, TestRng};
+use crate::scenario::{PlanMode, RunArtifacts, Scenario, ShardPolicyKind, TestRng};
 use fairmove_agents::features::SA_DIM;
-use fairmove_agents::{Cma2cConfig, Cma2cPolicy};
+use fairmove_agents::{Cma2cConfig, Cma2cPolicy, Cma2cShardPolicy};
+use fairmove_city::City;
 use fairmove_metrics::{gini, profit_fairness};
 use fairmove_rl::{Activation, Matrix, Mlp};
 use fairmove_sim::{
-    DisplacementPolicy, Environment, FleetLedger, InvariantAuditor, TaxiId, Telemetry,
+    DisplacementPolicy, Environment, FleetLedger, InvariantAuditor, ShardPolicy, ShardedEnv,
+    TaxiId, Telemetry,
 };
 use std::fmt;
 
@@ -265,7 +267,10 @@ fn alpha_objective(scenario: &Scenario, base: &RunArtifacts) -> Result<(), Oracl
 /// serial one. Two frozen policies with the same weights and exploration
 /// seed drive the same environment, differing only in `max_wave` (1 vs the
 /// default); any divergence in featurization, forward-pass stacking, commit
-/// ordering, or RNG consumption shows up as a ledger diff. A second check
+/// ordering, or RNG consumption shows up as a ledger diff. The sharded half
+/// does the same through [`Cma2cShardPolicy`] (int8 when the scenario
+/// serves quantized) on the scenario's shard layout and thread count, and
+/// compares digests and decision counts. A further check
 /// pushes one stacked input through the actor-shaped MLP and compares it
 /// row-by-row against per-row forwards, and through the raw row-partitioned
 /// matmul kernel at 1, 2, and 4 explicit workers — the batched numerics
@@ -296,8 +301,9 @@ fn batched_vs_serial_inference(scenario: &Scenario) -> Result<(), OracleFailure>
         let violations = env.auditor().map_or(0, |a| a.violations());
         (env.ledger().clone(), violations)
     };
+    let default_wave = Cma2cConfig::default().max_wave;
     let (serial, serial_violations) = run(1);
-    let (batched, batched_violations) = run(Cma2cConfig::default().max_wave);
+    let (batched, batched_violations) = run(default_wave);
     if serial != batched {
         return fail(
             "batched-vs-serial-inference",
@@ -312,6 +318,36 @@ fn batched_vs_serial_inference(scenario: &Scenario) -> Result<(), OracleFailure>
             "batched-vs-serial-inference",
             format!(
                 "audit violations diverged: serial {serial_violations} vs batched {batched_violations}"
+            ),
+        );
+    }
+
+    let run_sharded = |max_wave: usize| -> (u64, u64) {
+        let config = Cma2cConfig {
+            max_wave,
+            seed: scenario.seed,
+            ..Cma2cConfig::default()
+        };
+        let quantized = scenario.shard_policy == ShardPolicyKind::Cma2cQuantized;
+        let factory = |city: &City| -> Box<dyn ShardPolicy> {
+            Box::new(if quantized {
+                Cma2cShardPolicy::new_quantized(city, &config)
+            } else {
+                Cma2cShardPolicy::new(city, &config)
+            })
+        };
+        let mut env = ShardedEnv::with_policy(scenario.sim_config(), scenario.shards, &factory);
+        env.run(scenario.slots, scenario.threads);
+        (env.digest(), env.decisions())
+    };
+    let (serial, batched) = (run_sharded(1), run_sharded(default_wave));
+    if serial != batched {
+        return fail(
+            "batched-vs-serial-inference",
+            format!(
+                "sharded wave-batched dispatch diverged from serial at {} shards x {} threads: \
+                 digest {:016x} vs {:016x}, decisions {} vs {}",
+                scenario.shards, scenario.threads, serial.0, batched.0, serial.1, batched.1
             ),
         );
     }

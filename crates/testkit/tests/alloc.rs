@@ -16,15 +16,27 @@
 //! CI runs this suite under `FAIRMOVE_THREADS=1` and `=4` to prove the
 //! envelope is thread-count independent.
 //!
+//! The sharded engine's CMA2C path runs the same wave dispatcher, so one
+//! test holds a frozen [`Cma2cShardPolicy`]'s `decide_region` to the same
+//! envelope on a captured test-scale region (the engine's own slot
+//! stepping is not yet inside it).
+//!
 //! Known, deliberate exclusions from the zero-alloc envelope (all inactive
 //! here): fault plans (the observation-staleness history ring clones per
 //! slot), learning mode (replay buffer and training matmuls), telemetry
 //! export, and waves large enough to cross the parallel threshold.
 
-use fairmove_agents::{Cma2cConfig, Cma2cPolicy};
-use fairmove_sim::{DisplacementPolicy, Environment, SimConfig, StayPolicy, Telemetry};
+use fairmove_agents::{Cma2cConfig, Cma2cPolicy, Cma2cShardPolicy};
+use fairmove_city::{City, RegionId};
+use fairmove_sim::shard::rng::region_stream;
+use fairmove_sim::{
+    Action, DecisionContext, DisplacementPolicy, Environment, GreedyDeficitPolicy, ShardPolicy,
+    ShardedEnv, SimConfig, SlotObservation, StayPolicy, Telemetry,
+};
 use fairmove_telemetry::trace;
 use fairmove_testkit::counting_alloc::{allocs_in, CountingAlloc};
+use rand::rngs::StdRng;
+use std::sync::{Arc, Mutex};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -177,6 +189,89 @@ fn batched_decide_into_is_alloc_free_when_frozen() {
         "frozen batched decide_into performed {allocs} heap allocations"
     );
     assert_eq!(actions.len(), decisions.len());
+}
+
+/// One region's decision inputs, captured from a live sharded run.
+type CapturedRegion = (SlotObservation, RegionId, Vec<DecisionContext>);
+
+/// Greedy dispatch that records the largest region decision it serves.
+struct CaptureLargestRegion {
+    inner: GreedyDeficitPolicy,
+    largest: Arc<Mutex<Option<CapturedRegion>>>,
+}
+
+impl ShardPolicy for CaptureLargestRegion {
+    fn name(&self) -> &'static str {
+        "capture"
+    }
+
+    fn decide_region(
+        &mut self,
+        city: &City,
+        obs: &SlotObservation,
+        region: RegionId,
+        ctxs: &[DecisionContext],
+        rng: &mut StdRng,
+        out: &mut Vec<Action>,
+    ) {
+        let mut largest = self.largest.lock().expect("capture lock poisoned");
+        if largest.as_ref().map_or(0, |(_, _, c)| c.len()) < ctxs.len() {
+            *largest = Some((obs.clone(), region, ctxs.to_vec()));
+        }
+        drop(largest);
+        self.inner.decide_region(city, obs, region, ctxs, rng, out);
+    }
+}
+
+/// The sharded engine's CMA2C policy runs the shared wave dispatcher, so
+/// once its scratch has warmed up, deciding a region must not allocate
+/// either — the first piece of a zero-alloc shard-stepping contract.
+#[test]
+fn shard_decide_region_is_alloc_free_when_frozen() {
+    enable_tracing();
+    let config = SimConfig::test_scale();
+    let city = City::generate(config.city.clone());
+    let largest = Arc::new(Mutex::new(None));
+    let factory = |_: &City| -> Box<dyn ShardPolicy> {
+        Box::new(CaptureLargestRegion {
+            inner: GreedyDeficitPolicy::default(),
+            largest: Arc::clone(&largest),
+        })
+    };
+    let mut env = ShardedEnv::with_policy(config.clone(), 1, &factory);
+    env.run(12, 1);
+    let (obs, region, ctxs) = largest
+        .lock()
+        .expect("capture lock poisoned")
+        .take()
+        .expect("the run decided at least one region");
+    assert!(ctxs.len() > 1, "test needs a multi-taxi region");
+
+    let mut policy = Cma2cShardPolicy::new(
+        &city,
+        &Cma2cConfig {
+            max_wave: SERIAL_SAFE_WAVE,
+            ..Cma2cConfig::default()
+        },
+    );
+    let mut actions = Vec::with_capacity(ctxs.len());
+    // The first pass warms the scratch on exactly the calls the second
+    // pass measures, so every buffer is already at its high-water mark.
+    for pass in 0..2 {
+        for stream in 0..4u64 {
+            let mut rng = region_stream(config.seed ^ stream, region);
+            let (allocs, ()) = allocs_in(|| {
+                policy.decide_region(&city, &obs, region, &ctxs, &mut rng, &mut actions);
+            });
+            assert_eq!(actions.len(), ctxs.len());
+            if pass == 1 {
+                assert_eq!(
+                    allocs, 0,
+                    "frozen shard decide_region (stream {stream}) performed {allocs} heap allocations"
+                );
+            }
+        }
+    }
 }
 
 /// Sanity-check the probe itself: a deliberate allocation inside the closure
