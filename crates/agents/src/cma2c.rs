@@ -25,7 +25,7 @@ use crate::features::{SA_DIM, STATE_DIM};
 use crate::transition::TransitionTracker;
 use crate::wave::WaveDispatcher;
 use fairmove_rl::loss::{policy_gradient_logits, softmax};
-use fairmove_rl::{Activation, Adam, Matrix, Mlp, Optimizer, QuantizedMlp, ReplayBuffer};
+use fairmove_rl::{Activation, Adam, Matrix, Mlp, Optimizer, ReplayBuffer};
 use fairmove_sim::{
     Action, DecisionContext, DisplacementPolicy, SlotFeedback, SlotObservation, WorkingObservation,
 };
@@ -176,10 +176,6 @@ pub struct Cma2cPolicy {
     metrics: Option<Cma2cMetrics>,
     /// Whether learning (and stochastic exploration) is active.
     pub learning: bool,
-    /// Int8 snapshot of the frozen actor, installed by
-    /// [`Self::set_quantized_serving`]. Serving-only: training always runs
-    /// against the exact weights, and every weight mutation drops it.
-    serving_quant: Option<QuantizedMlp>,
 }
 
 /// The shared actor network: one logit per `SA_DIM` state–action row.
@@ -259,7 +255,6 @@ impl Cma2cPolicy {
             train_steps: 0,
             metrics: None,
             learning: true,
-            serving_quant: None,
             config,
         }
     }
@@ -276,29 +271,6 @@ impl Cma2cPolicy {
     pub fn freeze(&mut self) {
         self.learning = false;
         self.tracker.clear();
-    }
-
-    /// Installs (or removes) the int8 serving path for the frozen actor.
-    /// Quantization is deterministic in the exact parameters, so calling
-    /// this after a checkpoint restore rebuilds byte-identical codes — the
-    /// warm-restart guarantee needs no new persisted state. The decide loop
-    /// consumes one RNG draw per context either way, so switching backends
-    /// never desynchronizes the sampling stream layout.
-    ///
-    /// # Panics
-    /// Panics if the policy is still learning: training must only ever see
-    /// the exact weights.
-    pub fn set_quantized_serving(&mut self, on: bool) {
-        assert!(
-            !self.learning,
-            "quantized serving requires a frozen policy (call freeze() first)"
-        );
-        self.serving_quant = on.then(|| QuantizedMlp::from_mlp(&self.actor));
-    }
-
-    /// Whether the int8 serving path is active.
-    pub fn quantized_serving(&self) -> bool {
-        self.serving_quant.is_some()
     }
 
     /// The exploration RNG's restorable state. A frozen policy still
@@ -362,11 +334,6 @@ impl Cma2cPolicy {
         self.actor = actor;
         self.target_critic.copy_params_from(&critic);
         self.critic = critic;
-        // The codes were derived from the replaced weights; re-quantize so
-        // the serving path keeps tracking the actor that is actually loaded.
-        if self.serving_quant.is_some() {
-            self.serving_quant = Some(QuantizedMlp::from_mlp(&self.actor));
-        }
         Ok(())
     }
 
@@ -503,7 +470,6 @@ impl DisplacementPolicy for Cma2cPolicy {
         let (tracker, buffer) = (&mut self.tracker, &mut self.buffer);
         self.dispatcher.dispatch(
             &self.actor,
-            self.serving_quant.as_ref(),
             obs,
             decisions,
             &mut self.rng,

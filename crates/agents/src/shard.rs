@@ -35,16 +35,13 @@
 use crate::cma2c::{new_actor, Cma2cConfig};
 use crate::wave::WaveDispatcher;
 use fairmove_city::{City, RegionId};
-use fairmove_rl::{Mlp, QuantizedMlp};
+use fairmove_rl::Mlp;
 use fairmove_sim::{Action, DecisionContext, ShardPolicy, SlotObservation};
 use rand::rngs::StdRng;
 
 /// Frozen CMA2C actor callable from sharded slot steps.
 pub struct Cma2cShardPolicy {
     actor: Mlp,
-    /// Int8 snapshot of `actor` when serving quantized
-    /// ([`Cma2cShardPolicy::new_quantized`]); rebuilt on `load_actor`.
-    quant: Option<QuantizedMlp>,
     dispatcher: WaveDispatcher,
 }
 
@@ -56,31 +53,13 @@ impl Cma2cShardPolicy {
     pub fn new(city: &City, config: &Cma2cConfig) -> Self {
         Cma2cShardPolicy {
             actor: new_actor(config),
-            quant: None,
             dispatcher: WaveDispatcher::new(city, config),
         }
     }
 
-    /// [`Self::new`] with the int8 serving path enabled: wave scoring runs
-    /// through the per-row-quantized actor instead of the f64 kernels. The
-    /// sampling contract is unchanged (one RNG draw per context), so runs
-    /// stay layout-invariant — only the logits move, within the budget the
-    /// testkit's kernel-differential oracle gates.
-    pub fn new_quantized(city: &City, config: &Cma2cConfig) -> Self {
-        let mut policy = Self::new(city, config);
-        policy.quant = Some(QuantizedMlp::from_mlp(&policy.actor));
-        policy
-    }
-
-    /// The frozen actor (the kernel-differential oracle scores it directly
-    /// against [`Self::quantized_actor`]).
+    /// The frozen actor.
     pub fn actor(&self) -> &Mlp {
         &self.actor
-    }
-
-    /// The int8 actor snapshot, when serving quantized.
-    pub fn quantized_actor(&self) -> Option<&QuantizedMlp> {
-        self.quant.as_ref()
     }
 
     /// Replaces the actor with one saved by
@@ -98,20 +77,13 @@ impl Cma2cShardPolicy {
             ));
         }
         self.actor = actor;
-        if self.quant.is_some() {
-            self.quant = Some(QuantizedMlp::from_mlp(&self.actor));
-        }
         Ok(())
     }
 }
 
 impl ShardPolicy for Cma2cShardPolicy {
     fn name(&self) -> &'static str {
-        if self.quant.is_some() {
-            "cma2c-quant"
-        } else {
-            "cma2c"
-        }
+        "cma2c"
     }
 
     fn decide_region(
@@ -123,22 +95,14 @@ impl ShardPolicy for Cma2cShardPolicy {
         rng: &mut StdRng,
         out: &mut Vec<Action>,
     ) {
-        self.dispatcher.dispatch(
-            &self.actor,
-            self.quant.as_ref(),
-            obs,
-            ctxs,
-            rng,
-            out,
-            |_, _, _| {},
-        );
+        self.dispatcher
+            .dispatch(&self.actor, obs, ctxs, rng, out, |_, _, _| {});
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::SA_DIM;
     use fairmove_city::CityConfig;
     use fairmove_sim::{ShardPolicyFactory, ShardedEnv, SimConfig};
     use rand::SeedableRng;
@@ -236,59 +200,6 @@ mod tests {
             "cma2c diverged across layouts"
         );
         assert_eq!(env.taxi_rows().len(), oracle.taxi_rows().len());
-    }
-
-    #[test]
-    fn quantized_sharded_runs_are_layout_invariant() {
-        // Same digest guarantee for the int8 serving path: the quantized
-        // forward is serial and ascending-index, so layout can't move it.
-        let sim = SimConfig::test_scale();
-        let factory: &ShardPolicyFactory = &|city: &City| {
-            Box::new(Cma2cShardPolicy::new_quantized(
-                city,
-                &Cma2cConfig::default(),
-            ))
-        };
-        let mut oracle = ShardedEnv::with_policy(sim.clone(), 1, factory);
-        oracle.run(12, 1);
-        assert_eq!(oracle.policy_name(), "cma2c-quant");
-        let mut env = ShardedEnv::with_policy(sim, 4, factory);
-        env.run(12, 2);
-        assert_eq!(
-            env.digest(),
-            oracle.digest(),
-            "quantized cma2c diverged across layouts"
-        );
-    }
-
-    #[test]
-    fn quantized_policy_tracks_exact_logits() {
-        // The int8 path must stay a perturbation, not a different policy:
-        // score one batch of contexts through both actors and compare.
-        let city = small_city();
-        let config = Cma2cConfig::default();
-        let p = Cma2cShardPolicy::new_quantized(&city, &config);
-        let exact = Cma2cShardPolicy::new(&city, &config);
-        let q = p.quantized_actor().expect("quantized");
-        let x = fairmove_rl::Matrix::from_vec(
-            4,
-            SA_DIM,
-            (0..4 * SA_DIM)
-                .map(|i| ((i * 13 % 29) as f64) / 14.5 - 1.0)
-                .collect(),
-        );
-        let e = exact.actor().forward(&x);
-        let mut ws = fairmove_rl::QuantWorkspace::new();
-        let mut got = Vec::new();
-        q.forward_into(&x, &mut ws, &mut got);
-        for r in 0..4 {
-            assert!(
-                (e.get(r, 0) - got[r]).abs() < 0.2,
-                "row {r}: exact {} vs quant {}",
-                e.get(r, 0),
-                got[r]
-            );
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 use crate::cma2c::Cma2cConfig;
 use crate::features::{FeatureExtractor, RegionFeatureCache, SA_DIM, STATE_DIM};
 use fairmove_city::{City, SimTime, TimeSlot};
-use fairmove_rl::{Matrix, Mlp, MlpWorkspace, QuantWorkspace, QuantizedMlp};
+use fairmove_rl::{Matrix, Mlp, MlpWorkspace};
 use fairmove_sim::{Action, DecisionContext, ObservationView, SlotObservation};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -127,9 +127,6 @@ struct DecideScratch {
     /// Prior-adjusted logits of the decision currently being committed.
     logits: Vec<f64>,
     ws: MlpWorkspace,
-    /// f32 ping-pong buffers for the int8 serving path (empty unless a
-    /// quantized actor is passed).
-    qws: QuantWorkspace,
 }
 
 /// [`ObservationView`] over the base observation with the dispatcher's
@@ -230,15 +227,13 @@ impl WaveDispatcher {
 
     /// Decides every context in `ctxs` against `obs`, pushing one action per
     /// context onto `out` (cleared first). Wave entries are scored through
-    /// `quant` when given, else through `actor`; the one sample per context
-    /// is drawn from `rng` at commit time. `on_commit` runs once per commit
-    /// with the context, the sampled candidate index, and the entry's
-    /// feature rows (`candidates × SA_DIM`, flat, candidate order).
-    #[allow(clippy::too_many_arguments)]
+    /// `actor`; the one sample per context is drawn from `rng` at commit
+    /// time. `on_commit` runs once per commit with the context, the sampled
+    /// candidate index, and the entry's feature rows (`candidates × SA_DIM`,
+    /// flat, candidate order).
     pub(crate) fn dispatch(
         &mut self,
         actor: &Mlp,
-        quant: Option<&QuantizedMlp>,
         obs: &SlotObservation,
         ctxs: &[DecisionContext],
         rng: &mut StdRng,
@@ -299,7 +294,7 @@ impl WaveDispatcher {
                     // small chunk.
                     chunk_start = w;
                     chunk_end = (w + chunk).min(wave.len());
-                    self.score_chunk(&mut s, actor, quant, &wave[chunk_start..chunk_end]);
+                    self.score_chunk(&mut s, actor, &wave[chunk_start..chunk_end]);
                     chunk = (chunk * 2).min(LAZY_CHUNK_MAX);
                 }
                 let (row0, n_candidates) = s.spans[w - chunk_start];
@@ -356,13 +351,7 @@ impl WaveDispatcher {
     /// entry's row span in `s.spans`. The cache is frozen for the whole
     /// wave and each actor output row depends only on its own input row, so
     /// the logits are bitwise independent of how the wave is chunked.
-    fn score_chunk(
-        &self,
-        s: &mut DecideScratch,
-        actor: &Mlp,
-        quant: Option<&QuantizedMlp>,
-        entries: &[DecisionContext],
-    ) {
+    fn score_chunk(&self, s: &mut DecideScratch, actor: &Mlp, entries: &[DecisionContext]) {
         s.spans.clear();
         let mut chunk_rows = 0;
         for ctx in entries {
@@ -382,16 +371,9 @@ impl WaveDispatcher {
             }
         }
         let _trace_matmul = fairmove_telemetry::trace_span!("matmul", chunk_rows as u64);
-        match quant {
-            // The actor head is one logit wide, so the quantized forward's
-            // flat `rows × 1` output is exactly this chunk's logits.
-            Some(q) => q.forward_into(&s.rows, &mut s.qws, &mut s.chunk_logits),
-            None => {
-                let logits_m = actor.forward_scratch(&s.rows, &mut s.ws);
-                s.chunk_logits.clear();
-                s.chunk_logits
-                    .extend((0..chunk_rows).map(|r| logits_m.get(r, 0)));
-            }
-        }
+        let logits_m = actor.forward_scratch(&s.rows, &mut s.ws);
+        s.chunk_logits.clear();
+        s.chunk_logits
+            .extend((0..chunk_rows).map(|r| logits_m.get(r, 0)));
     }
 }

@@ -21,7 +21,10 @@ use fairmove_sim::FleetLedger;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&args);
+    let scale = parse_scale(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let wanted: Vec<&str> = args
         .iter()
         .filter(|a| {

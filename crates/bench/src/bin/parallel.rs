@@ -11,13 +11,7 @@
 //!
 //! * **matmul** — the dense actor/critic forward kernel
 //!   ([`Matrix::matmul_threads`]) at serial vs full thread count, in
-//!   GFLOP/s, with a bitwise-equality assertion over the output buffers —
-//!   plus a scalar-vs-vectorized backend sweep at one thread (the two
-//!   backends are bitwise-equal by contract, so the sweep is pure
-//!   throughput);
-//! * **quant** — the frozen actor's exact f64 forward vs the int8-quantized
-//!   forward over one large wave: rows/s for each plus the max |Δlogit|
-//!   (the accuracy cost the kernel-differential oracle budgets);
+//!   GFLOP/s, with a bitwise-equality assertion over the output buffers;
 //! * **compare** — the end-to-end train/eval comparison harness
 //!   ([`ComparisonResults::run_with_threads`]) at 1 vs N threads, in
 //!   simulated slots per second, with a ledger-equality assertion.
@@ -27,7 +21,7 @@
 use fairmove_city::SLOTS_PER_DAY;
 use fairmove_core::experiments::{ComparisonConfig, ComparisonResults};
 use fairmove_core::method::MethodKind;
-use fairmove_rl::{Activation, KernelBackend, Matrix, Mlp, QuantWorkspace, QuantizedMlp};
+use fairmove_rl::Matrix;
 use fairmove_sim::SimConfig;
 use std::time::Instant;
 
@@ -41,11 +35,10 @@ fn main() {
     );
 
     let matmul = bench_matmul(smoke, threads, rounds);
-    let quant = bench_quant(smoke, rounds);
     let compare = bench_compare(smoke, threads, rounds);
 
     let json = format!(
-        "{{\"smoke\":{smoke},\"threads\":{threads},\"rounds\":{rounds},{matmul},{quant},{compare}}}\n"
+        "{{\"smoke\":{smoke},\"threads\":{threads},\"rounds\":{rounds},{matmul},{compare}}}\n"
     );
     let path = "BENCH_parallel.json";
     match std::fs::write(path, &json) {
@@ -101,95 +94,23 @@ fn bench_matmul(smoke: bool, threads: usize, rounds: usize) -> String {
         "parallel matmul is not bitwise-identical to serial"
     );
 
-    // Backend sweep at one thread: the vectorized kernel must be bitwise-
-    // identical to the scalar oracle, so the delta is throughput only.
-    let (scalar_s, scalar_out) = median_seconds(rounds, || {
-        a.matmul_backend_threads(&b, KernelBackend::Scalar, 1)
-    });
-    let (vectorized_s, vectorized_out) = median_seconds(rounds, || {
-        a.matmul_backend_threads(&b, KernelBackend::Vectorized, 1)
-    });
-    let backends_identical = scalar_out
-        .data()
-        .iter()
-        .zip(vectorized_out.data())
-        .all(|(x, y)| x.to_bits() == y.to_bits());
-    assert!(
-        backends_identical,
-        "vectorized matmul is not bitwise-identical to scalar"
-    );
-
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
     let serial_gflops = flops / serial_s / 1e9;
     let parallel_gflops = flops / parallel_s / 1e9;
-    let scalar_gflops = flops / scalar_s / 1e9;
-    let vectorized_gflops = flops / vectorized_s / 1e9;
     println!("--- matmul {m}x{k} . {k}x{n} ---");
     println!("serial:   {serial_s:.6} s  ({serial_gflops:.2} GFLOP/s)");
     println!("parallel: {parallel_s:.6} s  ({parallel_gflops:.2} GFLOP/s)");
-    println!("speedup:  {:.2}x, bitwise identical", serial_s / parallel_s);
-    println!("scalar backend:     {scalar_s:.6} s  ({scalar_gflops:.2} GFLOP/s)");
-    println!("vectorized backend: {vectorized_s:.6} s  ({vectorized_gflops:.2} GFLOP/s)");
     println!(
-        "backend speedup:    {:.2}x, bitwise identical\n",
-        scalar_s / vectorized_s
+        "speedup:  {:.2}x, bitwise identical\n",
+        serial_s / parallel_s
     );
 
     format!(
         "\"matmul\":{{\"m\":{m},\"k\":{k},\"n\":{n},\
          \"serial_seconds\":{serial_s},\"parallel_seconds\":{parallel_s},\
          \"serial_gflops\":{serial_gflops},\"parallel_gflops\":{parallel_gflops},\
-         \"speedup\":{},\"bitwise_identical\":true,\
-         \"scalar_gflops\":{scalar_gflops},\"vectorized_gflops\":{vectorized_gflops},\
-         \"backend_speedup\":{},\"backends_bitwise_identical\":true}}",
-        serial_s / parallel_s,
-        scalar_s / vectorized_s
-    )
-}
-
-/// Exact f64 forward vs the int8-quantized forward through an actor-shaped
-/// network over one large wave: throughput for both paths plus the max
-/// |Δlogit| accuracy cost.
-fn bench_quant(smoke: bool, rounds: usize) -> String {
-    let (rows, input) = if smoke { (512, 34) } else { (4096, 34) };
-    let mlp = Mlp::new(&[input, 64, 64, 1], Activation::Relu, Activation::Linear, 7);
-    let quant = QuantizedMlp::from_mlp(&mlp);
-    let mut state = 11u64;
-    let data: Vec<f64> = (0..rows * input)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as f64 / (1u64 << 31) as f64 - 0.5
-        })
-        .collect();
-    let x = Matrix::from_vec(rows, input, data);
-
-    let (exact_s, exact_out) = median_seconds(rounds, || mlp.forward(&x));
-    let mut ws = QuantWorkspace::new();
-    let mut qlogits = Vec::new();
-    let (quant_s, ()) = median_seconds(rounds, || {
-        quant.forward_into(&x, &mut ws, &mut qlogits);
-    });
-
-    let max_delta = (0..rows)
-        .map(|r| (exact_out.get(r, 0) - qlogits[r]).abs())
-        .fold(0.0f64, f64::max);
-    let exact_rows_per_sec = rows as f64 / exact_s;
-    let quant_rows_per_sec = rows as f64 / quant_s;
-    println!("--- quantized forward ({rows} rows, {input} features) ---");
-    println!("exact f64: {exact_s:.6} s  ({exact_rows_per_sec:.0} rows/s)");
-    println!("int8:      {quant_s:.6} s  ({quant_rows_per_sec:.0} rows/s)");
-    println!(
-        "speedup:   {:.2}x, max |Δlogit| {max_delta:.6}\n",
-        exact_s / quant_s
-    );
-
-    format!(
-        "\"quant\":{{\"rows\":{rows},\"input_dim\":{input},\
-         \"exact_seconds\":{exact_s},\"quant_seconds\":{quant_s},\
-         \"exact_rows_per_second\":{exact_rows_per_sec},\
-         \"quant_rows_per_second\":{quant_rows_per_sec},\
-         \"speedup\":{},\"max_logit_delta\":{max_delta}}}",
-        exact_s / quant_s
+         \"speedup\":{},\"bitwise_identical\":true}}",
+        serial_s / parallel_s
     )
 }
 

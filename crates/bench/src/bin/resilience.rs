@@ -32,11 +32,11 @@ const FAULT_SEED: u64 = 4242;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = if smoke {
-        Scale::Test
-    } else {
-        parse_scale(&args)
-    };
+    let scale = parse_scale(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let scale = if smoke { Scale::Test } else { scale };
     let methods: &[MethodKind] = if smoke {
         &[MethodKind::Sd2, MethodKind::FairMove]
     } else {

@@ -19,11 +19,6 @@
 //! - `--policy greedy|cma2c`: which slot-granularity policy drives the
 //!   `--paper` run (default `greedy`; `cma2c` is the frozen wave-batched
 //!   actor on the sharded engine).
-//! - `--backend scalar|vectorized|quantized`: numeric serving backend.
-//!   `scalar`/`vectorized` select the matrix-kernel backend process-wide
-//!   (bitwise-equal by contract — decision counts must not move, only
-//!   throughput). `quantized` serves the `--paper` run through the int8
-//!   actor (`sharded-cma2c-quant` row, implies `--policy cma2c`).
 //! - `--check-baseline [path]`: after writing the report, compare it against
 //!   the checked-in baseline (default
 //!   `crates/bench/baselines/BENCH_scale_baseline.json`): every report row
@@ -31,6 +26,9 @@
 //!   *exactly equal* decision count — a cross-machine determinism gate.
 //!   Exits non-zero on mismatch or when a `--paper` row has no baseline.
 //! - `--out <path>`: where to write the report (default `BENCH_scale.json`).
+//!
+//! Any other argument, or a flag missing its value, exits with status 2
+//! before anything runs.
 //!
 //! Policies: `stay` (environment-dominated floor) and `cma2c-frozen` (the
 //! deployed inference path: wave-batched actor forward passes, no learning).
@@ -138,52 +136,48 @@ fn check_baseline(report: &ScaleReport, baseline: &ScaleReport, require_paper: b
     failures
 }
 
+/// Prints `message` and exits with the usage-error status.
+fn usage_error(message: &str) -> ! {
+    eprintln!(
+        "{message}\nusage: scale [--smoke] [--full] [--paper] [--policy greedy|cma2c] \
+         [--check-baseline [path]] [--out path]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let full = args.iter().any(|a| a == "--full");
-    let paper = args.iter().any(|a| a == "--paper");
-    let baseline_check = args.iter().position(|a| a == "--check-baseline").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("crates/bench/baselines/BENCH_scale_baseline.json")
-            .to_string()
-    });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_scale.json");
-    let mut shard_policy = match args
-        .iter()
-        .position(|a| a == "--policy")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("greedy") => ShardBenchPolicy::Greedy,
-        Some("cma2c") => ShardBenchPolicy::Cma2c,
-        Some(other) => {
-            eprintln!("unknown --policy {other} (expected greedy|cma2c)");
-            std::process::exit(2);
-        }
-    };
-    match args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None => {}
-        Some("scalar") => fairmove_rl::set_kernel_backend(fairmove_rl::KernelBackend::Scalar),
-        Some("vectorized") => {
-            fairmove_rl::set_kernel_backend(fairmove_rl::KernelBackend::Vectorized)
-        }
-        Some("quantized") => shard_policy = ShardBenchPolicy::Cma2cQuantized,
-        Some(other) => {
-            eprintln!("unknown --backend {other} (expected scalar|vectorized|quantized)");
-            std::process::exit(2);
+    let mut args = std::env::args().skip(1).peekable();
+    let (mut smoke, mut full, mut paper) = (false, false, false);
+    let mut shard_policy = ShardBenchPolicy::Greedy;
+    let mut baseline_check = None;
+    let mut out_path = String::from("BENCH_scale.json");
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--full" => full = true,
+            "--paper" => paper = true,
+            "--policy" => {
+                shard_policy = match args.next().as_deref() {
+                    Some("greedy") => ShardBenchPolicy::Greedy,
+                    Some("cma2c") => ShardBenchPolicy::Cma2c,
+                    Some(other) => usage_error(&format!(
+                        "unknown --policy {other:?} (expected greedy|cma2c)"
+                    )),
+                    None => usage_error("--policy requires a value"),
+                }
+            }
+            "--check-baseline" => {
+                baseline_check =
+                    Some(args.next_if(|v| !v.starts_with("--")).unwrap_or_else(|| {
+                        "crates/bench/baselines/BENCH_scale_baseline.json".into()
+                    }))
+            }
+            "--out" => {
+                out_path = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--out requires a path"))
+            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
 
@@ -256,7 +250,7 @@ fn main() {
     }
 
     let json = report.to_json();
-    if let Err(e) = std::fs::write(out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);
     }

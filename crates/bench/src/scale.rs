@@ -82,25 +82,27 @@ impl Scale {
     }
 }
 
-/// Parses `--scale <name>` from CLI args; defaults to [`Scale::Small`].
-pub fn parse_scale(args: &[String]) -> Scale {
+/// Parses `--scale <name>` from CLI args; defaults to [`Scale::Small`] when
+/// the flag is absent. An unknown or missing value is an error, so a typo
+/// cannot silently start a different (and possibly much longer) run.
+pub fn parse_scale(args: &[String]) -> Result<Scale, String> {
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         if a == "--scale" {
             return match iter.next().map(String::as_str) {
-                Some("test") => Scale::Test,
-                Some("small") => Scale::Small,
-                Some("default") => Scale::Default,
-                Some("full") => Scale::Full,
-                Some("paper") => Scale::Paper,
-                other => {
-                    eprintln!("unknown scale {other:?}; using small");
-                    Scale::Small
-                }
+                Some("test") => Ok(Scale::Test),
+                Some("small") => Ok(Scale::Small),
+                Some("default") => Ok(Scale::Default),
+                Some("full") => Ok(Scale::Full),
+                Some("paper") => Ok(Scale::Paper),
+                Some(other) => Err(format!(
+                    "unknown --scale {other:?} (expected test|small|default|full|paper)"
+                )),
+                None => Err("--scale requires a value".into()),
             };
         }
     }
-    Scale::Small
+    Ok(Scale::Small)
 }
 
 #[cfg(test)]
@@ -113,17 +115,22 @@ mod tests {
 
     #[test]
     fn parses_each_scale() {
-        assert_eq!(parse_scale(&args(&["--scale", "test"])), Scale::Test);
-        assert_eq!(parse_scale(&args(&["--scale", "default"])), Scale::Default);
-        assert_eq!(parse_scale(&args(&["--scale", "full"])), Scale::Full);
-        assert_eq!(parse_scale(&args(&["--scale", "paper"])), Scale::Paper);
+        assert_eq!(parse_scale(&args(&["--scale", "test"])), Ok(Scale::Test));
+        assert_eq!(
+            parse_scale(&args(&["--scale", "default"])),
+            Ok(Scale::Default)
+        );
+        assert_eq!(parse_scale(&args(&["--scale", "full"])), Ok(Scale::Full));
+        assert_eq!(parse_scale(&args(&["--scale", "paper"])), Ok(Scale::Paper));
     }
 
     #[test]
     fn defaults_to_small() {
-        assert_eq!(parse_scale(&args(&[])), Scale::Small);
-        assert_eq!(parse_scale(&args(&["fig3"])), Scale::Small);
-        assert_eq!(parse_scale(&args(&["--scale", "bogus"])), Scale::Small);
+        assert_eq!(parse_scale(&args(&[])), Ok(Scale::Small));
+        assert_eq!(parse_scale(&args(&["fig3"])), Ok(Scale::Small));
+        // A bad value is rejected, never mapped to the default.
+        assert!(parse_scale(&args(&["--scale", "bogus"])).is_err());
+        assert!(parse_scale(&args(&["--scale"])).is_err());
     }
 
     #[test]

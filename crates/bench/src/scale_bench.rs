@@ -220,8 +220,6 @@ pub enum ShardBenchPolicy {
     /// Frozen CMA2C actor, wave-batched per region (the deployed
     /// inference path on the sharded engine).
     Cma2c,
-    /// Frozen CMA2C served through the int8-quantized actor.
-    Cma2cQuantized,
 }
 
 impl ShardBenchPolicy {
@@ -230,7 +228,6 @@ impl ShardBenchPolicy {
         match self {
             ShardBenchPolicy::Greedy => "sharded-greedy",
             ShardBenchPolicy::Cma2c => "sharded-cma2c",
-            ShardBenchPolicy::Cma2cQuantized => "sharded-cma2c-quant",
         }
     }
 }
@@ -268,9 +265,6 @@ pub fn measure_sharded(
         match policy {
             ShardBenchPolicy::Greedy => Box::new(GreedyDeficitPolicy::default()),
             ShardBenchPolicy::Cma2c => Box::new(Cma2cShardPolicy::new(city, &cma2c_config)),
-            ShardBenchPolicy::Cma2cQuantized => {
-                Box::new(Cma2cShardPolicy::new_quantized(city, &cma2c_config))
-            }
         }
     };
     let mut env = fairmove_sim::ShardedEnv::with_policy(config, shards, &factory);
@@ -395,18 +389,6 @@ mod tests {
         assert_eq!(
             a.decisions, b.decisions,
             "sharded CMA2C decision count must be layout-invariant"
-        );
-    }
-
-    #[test]
-    fn measure_sharded_quantized_is_deterministic_across_layouts() {
-        let a = measure_sharded(Scale::Test, ShardBenchPolicy::Cma2cQuantized, 1, 1, 2, 1, 6);
-        let b = measure_sharded(Scale::Test, ShardBenchPolicy::Cma2cQuantized, 4, 2, 2, 1, 6);
-        assert_eq!(a.policy, "sharded-cma2c-quant");
-        assert!(a.decisions > 0);
-        assert_eq!(
-            a.decisions, b.decisions,
-            "quantized sharded decision count must be layout-invariant"
         );
     }
 

@@ -23,7 +23,6 @@ pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod optimizer;
-pub mod quant;
 pub mod replay;
 pub mod schedule;
 pub mod serialize;
@@ -31,10 +30,9 @@ pub mod store;
 pub mod tabular;
 
 pub use loss::{huber_loss, log_softmax, mse_loss, policy_gradient_logits, softmax};
-pub use matrix::{kernel_backend, set_kernel_backend, KernelBackend, Matrix};
+pub use matrix::Matrix;
 pub use mlp::{Activation, Gradients, Mlp, MlpWorkspace};
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quant::{QuantWorkspace, QuantizedMlp};
 pub use replay::ReplayBuffer;
 pub use schedule::EpsilonSchedule;
 pub use serialize::{load_mlp, load_mlp_from_path, save_mlp, save_mlp_to_path, LoadError};

@@ -11,57 +11,6 @@
 //! out above [`PAR_MIN_FLOPS`] multiply-adds.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which matmul kernel implementation the auto entry points run.
-///
-/// Both backends accumulate every output element from `+0.0` in ascending-`k`
-/// order with exactly one chain per element, so they are **bit-identical** on
-/// finite inputs — `Scalar` is the retained-verbatim oracle the testkit's
-/// `kernel-differential` oracle replays every scenario against, `Vectorized`
-/// is the register-tiled production default. Selection is process-global
-/// (see [`set_kernel_backend`]) with per-call overrides for tests and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// The original broadcast-accumulate loops, kept byte-for-byte as the
-    /// reference implementation.
-    Scalar,
-    /// Eight output columns per register tile (f32x8-style manual unroll on
-    /// `f64` lanes), fma-friendly accumulation. Same summation order per
-    /// element, so bitwise-equal to [`KernelBackend::Scalar`].
-    Vectorized,
-}
-
-/// `0` = not yet resolved, `1` = scalar, `2` = vectorized.
-static KERNEL_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-global kernel backend.
-pub fn set_kernel_backend(backend: KernelBackend) {
-    let code = match backend {
-        KernelBackend::Scalar => 1,
-        KernelBackend::Vectorized => 2,
-    };
-    KERNEL_BACKEND.store(code, Ordering::Relaxed);
-}
-
-/// The process-global kernel backend. Resolved on first use from
-/// `FAIRMOVE_KERNEL` (`scalar` | `vectorized`); defaults to
-/// [`KernelBackend::Vectorized`] — safe because the backends are
-/// bit-identical, so no golden or baseline moves with the default.
-pub fn kernel_backend() -> KernelBackend {
-    match KERNEL_BACKEND.load(Ordering::Relaxed) {
-        1 => KernelBackend::Scalar,
-        2 => KernelBackend::Vectorized,
-        _ => {
-            let backend = match std::env::var("FAIRMOVE_KERNEL").as_deref() {
-                Ok("scalar") => KernelBackend::Scalar,
-                _ => KernelBackend::Vectorized,
-            };
-            set_kernel_backend(backend);
-            backend
-        }
-    }
-}
 
 /// Minimum multiply-add count before the auto entry points (`matmul` & co.)
 /// fan rows out across threads. Below this, thread spawn/join overhead
@@ -96,25 +45,27 @@ const TB_UNROLL: usize = 8;
 /// pins.
 const TB_TRANSPOSE_MIN_ROWS: usize = 4;
 
-/// Output columns held in one register tile by the vectorized backend. Eight
-/// `f64` lanes span two AVX2 vectors (or four NEON ones) and leave headroom
-/// for the compiler to keep the whole tile in registers across the `k` loop.
+/// Output columns held in one register tile by the broadcast-accumulate
+/// kernel. Eight `f64` lanes span two AVX2 vectors (or four NEON ones) and
+/// leave headroom for the compiler to keep the whole tile in registers
+/// across the `k` loop.
 const VEC_LANES: usize = 8;
 
-/// The vectorized broadcast-accumulate kernel for one `k` block: walks the
-/// output row in [`VEC_LANES`]-wide tiles, keeping each tile's partial sums
-/// in registers across the entire block instead of streaming `out_row`
-/// through memory once per `k` — the fma-friendly shape the scalar loop
-/// denies the compiler. Per output element the accumulation order over `k`
-/// is *unchanged* (ascending, one chain per element, zero-skip included), so
-/// the result is bit-identical to the scalar kernel on finite inputs; the
-/// tile only changes where a partial sum lives, never the order it is summed.
+/// The broadcast-accumulate kernel for one `k` block: walks the output row
+/// in [`VEC_LANES`]-wide tiles, keeping each tile's partial sums in
+/// registers across the entire block instead of streaming `out_row` through
+/// memory once per `k` — the fma-friendly shape a plain `i,k,j` loop denies
+/// the compiler. Per output element the accumulation order over `k` is
+/// *unchanged* (ascending, one chain per element, zero-skip included), so
+/// the result is bit-identical to the naive triple loop on finite inputs
+/// (the `reference_matmul*` oracles in this module's tests); the tile only
+/// changes where a partial sum lives, never the order it is summed.
 ///
 /// `a_block` holds the left-operand values for this block's `k` range and
 /// `b_slab` the matching `(kend - kb) × n_cols` rows of the k-major right
 /// operand.
 #[inline]
-fn axpy_block_vectorized(out_row: &mut [f64], a_block: &[f64], b_slab: &[f64], n_cols: usize) {
+fn axpy_block(out_row: &mut [f64], a_block: &[f64], b_slab: &[f64], n_cols: usize) {
     let mut j = 0;
     while j + VEC_LANES <= n_cols {
         let mut acc = [0.0f64; VEC_LANES];
@@ -291,18 +242,6 @@ impl Matrix {
         out
     }
 
-    /// [`Self::matmul_threads`] with an explicit [`KernelBackend`].
-    pub fn matmul_backend_threads(
-        &self,
-        other: &Matrix,
-        backend: KernelBackend,
-        threads: usize,
-    ) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_backend_threads_into(other, backend, threads, &mut out);
-        out
-    }
-
     /// [`Self::matmul`] writing into a caller-owned output matrix, which is
     /// resized in place (no allocation once `out` has reached its
     /// high-water capacity). Same kernel as the allocating entry points, so
@@ -312,18 +251,6 @@ impl Matrix {
     /// ascending-`k` order (cache blocks walk `k` in ascending runs), so
     /// the result is bit-identical for every `threads` value.
     pub fn matmul_threads_into(&self, other: &Matrix, threads: usize, out: &mut Matrix) {
-        self.matmul_backend_threads_into(other, kernel_backend(), threads, out);
-    }
-
-    /// [`Self::matmul_threads_into`] with an explicit [`KernelBackend`]
-    /// (the kernel-differential oracle and the benches pin both).
-    pub fn matmul_backend_threads_into(
-        &self,
-        other: &Matrix,
-        backend: KernelBackend,
-        threads: usize,
-        out: &mut Matrix,
-    ) {
         assert_eq!(
             self.cols, other.rows,
             "matmul {}x{} · {}x{}",
@@ -345,25 +272,9 @@ impl Matrix {
                     let kend = (kb + BLOCK_K).min(self.cols);
                     for (local_i, out_row) in out_chunk.chunks_mut(n_cols).enumerate() {
                         let i = row0 + local_i;
-                        match backend {
-                            KernelBackend::Scalar => {
-                                for k in kb..kend {
-                                    let a = self.data[i * self.cols + k];
-                                    if a == 0.0 {
-                                        continue;
-                                    }
-                                    let other_row = &other.data[k * n_cols..(k + 1) * n_cols];
-                                    for (o, &b) in out_row.iter_mut().zip(other_row) {
-                                        *o += a * b;
-                                    }
-                                }
-                            }
-                            KernelBackend::Vectorized => {
-                                let a_block = &self.data[i * self.cols + kb..i * self.cols + kend];
-                                let b_slab = &other.data[kb * n_cols..kend * n_cols];
-                                axpy_block_vectorized(out_row, a_block, b_slab, n_cols);
-                            }
-                        }
+                        let a_block = &self.data[i * self.cols + kb..i * self.cols + kend];
+                        let b_slab = &other.data[kb * n_cols..kend * n_cols];
+                        axpy_block(out_row, a_block, b_slab, n_cols);
                     }
                 }
             },
@@ -381,19 +292,6 @@ impl Matrix {
     pub fn matmul_transpose_b_threads(&self, other: &Matrix, threads: usize) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_transpose_b_threads_into(other, threads, &mut out);
-        out
-    }
-
-    /// [`Self::matmul_transpose_b_threads`] with an explicit
-    /// [`KernelBackend`].
-    pub fn matmul_transpose_b_backend_threads(
-        &self,
-        other: &Matrix,
-        backend: KernelBackend,
-        threads: usize,
-    ) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transpose_b_backend_threads_into(other, backend, threads, &mut out);
         out
     }
 
@@ -425,18 +323,6 @@ impl Matrix {
     pub fn matmul_transpose_b_threads_into(
         &self,
         other: &Matrix,
-        threads: usize,
-        out: &mut Matrix,
-    ) {
-        self.matmul_transpose_b_backend_threads_into(other, kernel_backend(), threads, out);
-    }
-
-    /// [`Self::matmul_transpose_b_threads_into`] with an explicit
-    /// [`KernelBackend`].
-    pub fn matmul_transpose_b_backend_threads_into(
-        &self,
-        other: &Matrix,
-        backend: KernelBackend,
         threads: usize,
         out: &mut Matrix,
     ) {
@@ -487,29 +373,8 @@ impl Matrix {
                             let kend = (kb + BLOCK_K).min(width);
                             for (local_i, out_row) in out_chunk.chunks_mut(n_cols).enumerate() {
                                 let a_row = self.row(row0 + local_i);
-                                match backend {
-                                    KernelBackend::Scalar => {
-                                        for (k, &a) in a_row[kb..kend].iter().enumerate() {
-                                            if a == 0.0 {
-                                                continue;
-                                            }
-                                            let b_row =
-                                                &bt[(kb + k) * n_cols..(kb + k + 1) * n_cols];
-                                            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                                                *o += a * b;
-                                            }
-                                        }
-                                    }
-                                    KernelBackend::Vectorized => {
-                                        let b_slab = &bt[kb * n_cols..kend * n_cols];
-                                        axpy_block_vectorized(
-                                            out_row,
-                                            &a_row[kb..kend],
-                                            b_slab,
-                                            n_cols,
-                                        );
-                                    }
-                                }
+                                let b_slab = &bt[kb * n_cols..kend * n_cols];
+                                axpy_block(out_row, &a_row[kb..kend], b_slab, n_cols);
                             }
                         }
                     },
@@ -523,9 +388,9 @@ impl Matrix {
             rows_per_chunk * n_cols,
             |chunk_idx, out_chunk| {
                 let row0 = chunk_idx * rows_per_chunk;
-                // Small-batch dot-product fallback, shared by both backends:
-                // it is already TB_UNROLL-wide and transposing here would
-                // cost as much as the product (see TB_TRANSPOSE_MIN_ROWS).
+                // Small-batch dot-product fallback: it is already
+                // TB_UNROLL-wide and transposing here would cost as much as
+                // the product (see TB_TRANSPOSE_MIN_ROWS).
                 // Block over `other`'s rows so a block stays cached while
                 // it is dotted against every row of this chunk.
                 for jb in (0..n_cols).step_by(BLOCK_K) {
@@ -1011,11 +876,14 @@ mod tests {
         }
     }
 
+    // The `*backend*` tests below compare the register-tiled kernel with
+    // the naive scalar loops above, its only reference implementation.
+
     #[test]
     fn vectorized_backend_is_bitwise_equal_to_scalar() {
         // Shapes straddling BLOCK_K and VEC_LANES boundaries, with the
         // scrambled fill whose sums are order-sensitive in the last ulp:
-        // any reordering in the vectorized tile would show up here.
+        // any reordering in the register tile would show up here.
         for (m_rows, k, n) in [
             (1, 5, 1),
             (5, 33, 7),
@@ -1029,64 +897,47 @@ mod tests {
             let b = scrambled(k, n, (m_rows + k + n) as u64);
             let bt = b.transpose();
             for threads in [1, 2, 4] {
-                let scalar = a.matmul_backend_threads(&b, KernelBackend::Scalar, threads);
-                let vectorized = a.matmul_backend_threads(&b, KernelBackend::Vectorized, threads);
-                assert_eq!(scalar, vectorized, "matmul {m_rows}x{k}x{n} t={threads}");
-                assert_eq!(scalar, reference_matmul(&a, &b));
-                let scalar_tb =
-                    a.matmul_transpose_b_backend_threads(&bt, KernelBackend::Scalar, threads);
-                let vectorized_tb =
-                    a.matmul_transpose_b_backend_threads(&bt, KernelBackend::Vectorized, threads);
                 assert_eq!(
-                    scalar_tb, vectorized_tb,
+                    a.matmul_threads(&b, threads),
+                    reference_matmul(&a, &b),
+                    "matmul {m_rows}x{k}x{n} t={threads}"
+                );
+                assert_eq!(
+                    a.matmul_transpose_b_threads(&bt, threads),
+                    reference_matmul_tb(&a, &bt),
                     "matmul_tb {m_rows}x{k}x{n} t={threads}"
                 );
-                assert_eq!(scalar_tb, reference_matmul_tb(&a, &bt));
             }
         }
-    }
-
-    #[test]
-    fn backend_selection_is_env_and_setter_driven() {
-        // Both backends are bitwise-equal, so flipping the global mid-test
-        // is observable only through the getter.
-        let before = kernel_backend();
-        set_kernel_backend(KernelBackend::Scalar);
-        assert_eq!(kernel_backend(), KernelBackend::Scalar);
-        set_kernel_backend(KernelBackend::Vectorized);
-        assert_eq!(kernel_backend(), KernelBackend::Vectorized);
-        set_kernel_backend(before);
     }
 
     #[test]
     fn edge_shapes_agree_across_backends() {
         // 0-row / 0-col / 1×N and widths around the 8-lane tile: the
         // remainder loop is where kernels rot.
-        for backend in [KernelBackend::Scalar, KernelBackend::Vectorized] {
-            for &(m_rows, k, n) in &[
-                (0usize, 5usize, 3usize),
-                (3, 0, 4),
-                (3, 5, 0),
-                (1, 24, 7),
-                (1, 24, 8),
-                (1, 24, 9),
-                (2, 7, 15),
-                (4, 9, 17),
-            ] {
-                let a = scrambled(m_rows, k, 21);
-                let b = scrambled(k, n, 22);
-                assert_eq!(
-                    a.matmul_backend_threads(&b, backend, 3),
-                    reference_matmul(&a, &b),
-                    "{backend:?} {m_rows}x{k}x{n}"
-                );
-                let bt = scrambled(n, k, 23);
-                assert_eq!(
-                    a.matmul_transpose_b_backend_threads(&bt, backend, 3),
-                    reference_matmul_tb(&a, &bt),
-                    "tb {backend:?} {m_rows}x{k}x{n}"
-                );
-            }
+        for &(m_rows, k, n) in &[
+            (0usize, 5usize, 3usize),
+            (3, 0, 4),
+            (3, 5, 0),
+            (1, 24, 7),
+            (1, 24, 8),
+            (1, 24, 9),
+            (2, 7, 15),
+            (4, 9, 17),
+        ] {
+            let a = scrambled(m_rows, k, 21);
+            let b = scrambled(k, n, 22);
+            assert_eq!(
+                a.matmul_threads(&b, 3),
+                reference_matmul(&a, &b),
+                "{m_rows}x{k}x{n}"
+            );
+            let bt = scrambled(n, k, 23);
+            assert_eq!(
+                a.matmul_transpose_b_threads(&bt, 3),
+                reference_matmul_tb(&a, &bt),
+                "tb {m_rows}x{k}x{n}"
+            );
         }
     }
 
@@ -1119,14 +970,12 @@ mod tests {
             }
         }
         let reference = reference_matmul_tb(&a, &b);
-        for backend in [KernelBackend::Scalar, KernelBackend::Vectorized] {
-            for threads in [1, 2] {
-                assert_eq!(
-                    a.matmul_transpose_b_backend_threads(&b, backend, threads),
-                    reference,
-                    "{backend:?} t={threads}"
-                );
-            }
+        for threads in [1, 2] {
+            assert_eq!(
+                a.matmul_transpose_b_threads(&b, threads),
+                reference,
+                "t={threads}"
+            );
         }
     }
 
@@ -1136,22 +985,13 @@ mod tests {
             m in 0usize..10, k in 0usize..26, n in 0usize..19,
             salt in 0u64..500,
             threads in 1usize..4,
-            backend_sel in 0usize..2,
         ) {
-            let backend = if backend_sel == 0 {
-                KernelBackend::Scalar
-            } else {
-                KernelBackend::Vectorized
-            };
             let a = scrambled(m, k, salt);
             let b = scrambled(k, n, salt.wrapping_add(9));
-            prop_assert_eq!(
-                a.matmul_backend_threads(&b, backend, threads),
-                reference_matmul(&a, &b)
-            );
+            prop_assert_eq!(a.matmul_threads(&b, threads), reference_matmul(&a, &b));
             let bt = scrambled(n, k, salt.wrapping_add(17));
             prop_assert_eq!(
-                a.matmul_transpose_b_backend_threads(&bt, backend, threads),
+                a.matmul_transpose_b_threads(&bt, threads),
                 reference_matmul_tb(&a, &bt)
             );
         }

@@ -367,14 +367,6 @@ impl Mlp {
             .collect()
     }
 
-    /// Per-layer `(weights, biases, activation)` views for the int8
-    /// quantizer ([`crate::quant::QuantizedMlp::from_mlp`]).
-    pub(crate) fn layer_views(&self) -> impl Iterator<Item = (&Matrix, &[f64], Activation)> {
-        self.layers
-            .iter()
-            .map(|l| (&l.w, l.b.as_slice(), l.activation))
-    }
-
     /// Copies out all parameters as `(weights, biases)` per layer
     /// (model persistence; see [`crate::serialize`]).
     pub fn export_params(&self) -> Vec<(Matrix, Vec<f64>)> {

@@ -3,7 +3,6 @@
 //! ```text
 //! fairmove-serve [--addr HOST:PORT] [--metrics HOST:PORT]
 //!                [--data-dir DIR] [--scale test|default] [--alpha A]
-//!                [--backend exact|quantized]
 //! ```
 //!
 //! Runs until killed. State lives under `--data-dir`; restarting the
@@ -29,13 +28,6 @@ fn main() {
             "--no-metrics" => config.metrics_addr = None,
             "--data-dir" => config.data_dir = value("--data-dir").into(),
             "--alpha" => config.alpha = value("--alpha").parse().expect("--alpha must be a number"),
-            "--backend" => {
-                config.quantized = match value("--backend").as_str() {
-                    "exact" => false,
-                    "quantized" => true,
-                    other => panic!("unknown --backend {other:?} (exact|quantized)"),
-                }
-            }
             "--scale" => {
                 config.sim = match value("--scale").as_str() {
                     "test" => SimConfig::test_scale(),
@@ -46,8 +38,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: fairmove-serve [--addr H:P] [--metrics H:P | --no-metrics] \
-                     [--data-dir DIR] [--scale test|default] [--alpha A] \
-                     [--backend exact|quantized]"
+                     [--data-dir DIR] [--scale test|default] [--alpha A]"
                 );
                 return;
             }

@@ -28,6 +28,14 @@ use fairmove_sim::{
 const MAGIC: &[u8; 8] = b"FMSRVCK1";
 const VERSION: u32 = 1;
 
+/// Largest demand multiplier one `EVENT surge` may carry. Randomized fault
+/// plans draw surge factors from 0.5–3.0, so 10 leaves room for hand-written
+/// events. The bound exists because the environment materializes every
+/// Poisson-drawn trip: an unbounded factor (`1e12`) saturated the count at
+/// `u32::MAX` and the next `STEP` aborted on a 10 GiB allocation, and as the
+/// event is journaled before it runs, warm restart replayed the same abort.
+const MAX_SURGE_FACTOR: f64 = 10.0;
+
 /// FNV-1a 64-bit, the digest clients use to compare two servers' states.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -97,21 +105,6 @@ impl DispatchCore {
     /// Journal records applied so far.
     pub fn applied_seq(&self) -> u64 {
         self.applied_seq
-    }
-
-    /// Switches the frozen policy between exact-f64 and int8-quantized
-    /// serving. Quantization is a *serving mode*, not replayable state: it is
-    /// derived deterministically from the frozen parameters, so checkpoints
-    /// stay at format [`VERSION`] and a restored core reproduces the original
-    /// decision stream bit-for-bit once the embedding server re-applies its
-    /// configured mode (before journal replay).
-    pub fn set_quantized_serving(&mut self, on: bool) {
-        self.policy.set_quantized_serving(on);
-    }
-
-    /// Whether decisions currently run through the int8 serving path.
-    pub fn quantized_serving(&self) -> bool {
-        self.policy.quantized_serving()
     }
 
     /// Simulation clock, in minutes.
@@ -216,9 +209,11 @@ impl DispatchCore {
         }
     }
 
-    /// Rejects fault specs whose ids don't exist in this world. A malformed
-    /// client must get an `ERR 400` back, not crash the worker slots later
-    /// when the environment indexes the phantom station/region/taxi.
+    /// Rejects fault specs whose ids don't exist in this world, and surge
+    /// factors that are non-finite, negative, or above [`MAX_SURGE_FACTOR`].
+    /// A malformed client must get an `ERR 400` back, not crash the worker
+    /// slots later when the environment indexes the phantom
+    /// station/region/taxi or draws an unbounded trip count.
     /// Rejection happens identically on the live and replay paths (the
     /// record is journaled before it executes), so a bad event in an old
     /// journal replays to the same refusal.
@@ -241,6 +236,13 @@ impl DispatchCore {
             }
             FaultSpec::TaxiBreakdown { taxi, .. } if taxi as usize >= fleet => {
                 Err(format!("taxi {taxi} out of range (fleet has {fleet})"))
+            }
+            FaultSpec::DemandSurge { factor, .. }
+                if !(0.0..=MAX_SURGE_FACTOR).contains(&factor) =>
+            {
+                Err(format!(
+                    "surge factor {factor} out of range (must be in [0, {MAX_SURGE_FACTOR}])"
+                ))
             }
             _ => Ok(()),
         }
@@ -449,30 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_serving_survives_warm_restart_bitwise() {
-        // Quantization is derived from the frozen parameters, so it is NOT
-        // checkpointed: the embedding server re-applies its configured mode
-        // after restore and the int8 codes rebuild byte-identically.
-        let mut a = DispatchCore::new(config(), 0.6);
-        a.set_quantized_serving(true);
-        assert!(a.quantized_serving());
-        for payload in ["STEP F", "DECIDE F", "STEP F"] {
-            a.apply_payload(payload).unwrap();
-        }
-        let snapshot = a.checkpoint();
-        let mut b = DispatchCore::from_checkpoint(config(), &snapshot).unwrap();
-        assert!(!b.quantized_serving(), "mode is not replayable state");
-        b.set_quantized_serving(true);
-        assert_eq!(a.digest(), b.digest());
-        for payload in ["DECIDE F", "STEP F", "DECIDE F"] {
-            a.apply_payload(payload).unwrap();
-            b.apply_payload(payload).unwrap();
-        }
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.ledger(), b.ledger());
-    }
-
-    #[test]
     fn checkpoints_reject_other_configs_and_corruption() {
         let mut core = DispatchCore::new(config(), 0.6);
         core.apply_payload("STEP F").unwrap();
@@ -533,6 +511,16 @@ mod tests {
             ("EVENT surge 40 1.5 0 2", "region 40 out of range"),
             ("EVENT blackout 65535 0 2", "region 65535 out of range"),
             ("EVENT breakdown 60 0 2", "taxi 60 out of range"),
+            // Before the factor bound, the first of these saturated the
+            // region's Poisson trip count and the next STEP aborted the
+            // process on a 10 GiB allocation.
+            (
+                "EVENT surge 0 1e12 0 5",
+                "surge factor 1000000000000 out of range",
+            ),
+            ("EVENT surge 0 inf 0 5", "surge factor inf out of range"),
+            ("EVENT surge 0 NaN 0 5", "surge factor NaN out of range"),
+            ("EVENT surge 0 -3 0 5", "surge factor -3 out of range"),
         ] {
             let err = core.apply_payload(payload).err().expect(payload);
             assert!(err.contains(needle), "{payload}: {err}");
@@ -542,6 +530,7 @@ mod tests {
         // where the phantom faults would have expired.
         core.apply_payload("EVENT outage 7 0 2").unwrap();
         core.apply_payload("EVENT breakdown 59 0 2").unwrap();
+        core.apply_payload("EVENT surge 39 10 0 2").unwrap();
         for _ in 0..4 {
             core.apply_payload("STEP F").unwrap();
         }

@@ -50,11 +50,6 @@ pub struct ServeConfig {
     pub sim: SimConfig,
     /// Efficiency/fairness mix for the CMA2C policy.
     pub alpha: f64,
-    /// Serve Full-level decisions through the int8-quantized actor instead
-    /// of exact f64. Applied after warm restart but *before* journal replay,
-    /// so a quantized server's journal replays through the same numerics
-    /// that produced it.
-    pub quantized: bool,
     /// Directory for the journal and checkpoint vault.
     pub data_dir: PathBuf,
     /// Dispatch listener address (`"127.0.0.1:0"` picks a free port).
@@ -83,7 +78,6 @@ impl ServeConfig {
         ServeConfig {
             sim: SimConfig::test_scale(),
             alpha: 0.6,
-            quantized: false,
             data_dir: data_dir.into(),
             addr: "127.0.0.1:0".into(),
             metrics_addr: None,
@@ -166,7 +160,6 @@ impl DispatchServer {
             }
             None => DispatchCore::new(config.sim.clone(), config.alpha),
         };
-        core.set_quantized_serving(config.quantized);
         let (mut journal, replay) = Journal::open(&config.data_dir.join("journal.log"))?;
         recovery.torn_bytes = replay.torn_bytes;
         for record in &replay.records {

@@ -44,21 +44,8 @@ fn fail(message: String) -> Result<(), OracleFailure> {
     })
 }
 
-/// Runs the scenario's sharded configuration once (also the runner behind
-/// the `kernel-differential` oracle's backend sweeps).
+/// Runs the scenario's sharded configuration once.
 pub(crate) fn run_sharded(scenario: &Scenario, shards: usize, threads: usize) -> ShardedEnv {
-    run_sharded_as(scenario, scenario.shard_policy, shards, threads)
-}
-
-/// Like [`run_sharded`] but with the shard policy overridden — how the
-/// kernel-differential oracle compares the exact and quantized servings of
-/// the *same* scenario.
-pub(crate) fn run_sharded_as(
-    scenario: &Scenario,
-    policy: ShardPolicyKind,
-    shards: usize,
-    threads: usize,
-) -> ShardedEnv {
     let config = scenario.sim_config();
     let cma2c_config = Cma2cConfig {
         seed: scenario.seed,
@@ -68,13 +55,9 @@ pub(crate) fn run_sharded_as(
     let cma2c = |city: &City| -> Box<dyn ShardPolicy> {
         Box::new(Cma2cShardPolicy::new(city, &cma2c_config))
     };
-    let quantized = |city: &City| -> Box<dyn ShardPolicy> {
-        Box::new(Cma2cShardPolicy::new_quantized(city, &cma2c_config))
-    };
-    let factory: &ShardPolicyFactory = match policy {
+    let factory: &ShardPolicyFactory = match scenario.shard_policy {
         ShardPolicyKind::Greedy => &greedy,
         ShardPolicyKind::Cma2c => &cma2c,
-        ShardPolicyKind::Cma2cQuantized => &quantized,
     };
     let mut env = ShardedEnv::with_policy(config, shards, factory);
     env.run(scenario.slots, threads);

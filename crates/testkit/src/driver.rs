@@ -247,13 +247,6 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         c.threads = 1;
         out.push(c);
     }
-    // Downgrade quantized serving to exact first — a failure that survives
-    // on the exact path is not a quantization bug — then try greedy.
-    if s.shard_policy == ShardPolicyKind::Cma2cQuantized {
-        let mut c = s.clone();
-        c.shard_policy = ShardPolicyKind::Cma2c;
-        out.push(c);
-    }
     if s.shard_policy != ShardPolicyKind::Greedy {
         let mut c = s.clone();
         c.shard_policy = ShardPolicyKind::Greedy;

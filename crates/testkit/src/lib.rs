@@ -35,7 +35,6 @@ pub mod counting_alloc;
 pub mod differential;
 pub mod driver;
 pub mod golden;
-pub mod kernel_diff;
 pub mod oracle;
 pub mod scenario;
 
@@ -44,6 +43,5 @@ pub use counting_alloc::{allocs_in, CountingAlloc};
 pub use differential::{shard_differential_fidelity, FidelityReport};
 pub use driver::{DriverConfig, DriverReport, Failure};
 pub use golden::{assert_golden, GoldenMismatch};
-pub use kernel_diff::{kernel_differential, QuantReport};
 pub use oracle::{check_all, OracleFailure};
 pub use scenario::{PolicyKind, RunArtifacts, Scenario, ShardPolicyKind, TestRng};

@@ -14,10 +14,9 @@
 //! | `alpha-objective` | Eq. 4 reward is affine in α; α = 1 ignores fairness, α = 0 ignores profit |
 //! | `batched-vs-serial-inference` | wave-batched CMA2C dispatch (`max_wave` > 1) ≡ the fully serial dispatcher (`max_wave: 1`) on both engines: bit-identical minute-engine ledgers, and equal sharded digests and decision counts on the scenario's (shards, threads) layout; stacked actor forward ≡ per-row forwards at 1/2/4 matmul workers |
 //! | `shard-differential-fidelity` | sharded engine bit-identical across the scenario's (shards, threads) grid; fleet conserved; SoC bounded; queue waits within patience; demand totals within sampling noise of the minute engine (see [`crate::differential`]) |
-//! | `kernel-differential` | scalar ≡ vectorized matmul backends bitwise across the sharded grid; int8-quantized actor tracks the exact actor within logit and TV budgets; quantized serving leaves the demand process inside sampling noise (see [`crate::kernel_diff`]) |
 
 use crate::canon::fnv64;
-use crate::scenario::{PlanMode, RunArtifacts, Scenario, ShardPolicyKind, TestRng};
+use crate::scenario::{PlanMode, RunArtifacts, Scenario, TestRng};
 use fairmove_agents::features::SA_DIM;
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy, Cma2cShardPolicy};
 use fairmove_city::City;
@@ -49,7 +48,7 @@ fn fail(oracle: &'static str, message: String) -> Result<(), OracleFailure> {
 }
 
 /// Names of every oracle in catalog order.
-pub const ORACLE_NAMES: [&str; 9] = [
+pub const ORACLE_NAMES: [&str; 8] = [
     "invariant-audit",
     "telemetry-inert",
     "empty-plan-identity",
@@ -58,7 +57,6 @@ pub const ORACLE_NAMES: [&str; 9] = [
     "alpha-objective",
     "batched-vs-serial-inference",
     "shard-differential-fidelity",
-    "kernel-differential",
 ];
 
 /// Runs the full oracle catalog against one scenario. Returns the first
@@ -73,7 +71,6 @@ pub fn check_all(scenario: &Scenario) -> Result<(), OracleFailure> {
     alpha_objective(scenario, &base)?;
     batched_vs_serial_inference(scenario)?;
     crate::differential::shard_differential_fidelity(scenario, &base)?;
-    crate::kernel_diff::kernel_differential(scenario)?;
     Ok(())
 }
 
@@ -268,8 +265,8 @@ fn alpha_objective(scenario: &Scenario, base: &RunArtifacts) -> Result<(), Oracl
 /// seed drive the same environment, differing only in `max_wave` (1 vs the
 /// default); any divergence in featurization, forward-pass stacking, commit
 /// ordering, or RNG consumption shows up as a ledger diff. The sharded half
-/// does the same through [`Cma2cShardPolicy`] (int8 when the scenario
-/// serves quantized) on the scenario's shard layout and thread count, and
+/// does the same through [`Cma2cShardPolicy`] on the scenario's shard
+/// layout and thread count, and
 /// compares digests and decision counts. A further check
 /// pushes one stacked input through the actor-shaped MLP and compares it
 /// row-by-row against per-row forwards, and through the raw row-partitioned
@@ -328,13 +325,8 @@ fn batched_vs_serial_inference(scenario: &Scenario) -> Result<(), OracleFailure>
             seed: scenario.seed,
             ..Cma2cConfig::default()
         };
-        let quantized = scenario.shard_policy == ShardPolicyKind::Cma2cQuantized;
         let factory = |city: &City| -> Box<dyn ShardPolicy> {
-            Box::new(if quantized {
-                Cma2cShardPolicy::new_quantized(city, &config)
-            } else {
-                Cma2cShardPolicy::new(city, &config)
-            })
+            Box::new(Cma2cShardPolicy::new(city, &config))
         };
         let mut env = ShardedEnv::with_policy(scenario.sim_config(), scenario.shards, &factory);
         env.run(scenario.slots, scenario.threads);

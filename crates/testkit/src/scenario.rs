@@ -75,19 +75,6 @@ pub enum ShardPolicyKind {
     Greedy,
     /// Frozen CMA2C actor inference inside shard steps.
     Cma2c,
-    /// Frozen CMA2C served through the int8-quantized actor.
-    Cma2cQuantized,
-}
-
-impl ShardPolicyKind {
-    /// Whether the sharded engine runs CMA2C inference (exact or int8) —
-    /// the scenarios whose shard runs exercise the matrix kernels.
-    pub fn is_cma2c(self) -> bool {
-        matches!(
-            self,
-            ShardPolicyKind::Cma2c | ShardPolicyKind::Cma2cQuantized
-        )
-    }
 }
 
 /// One reproducible randomized simulation run, as plain data.
@@ -196,13 +183,6 @@ impl Scenario {
         } else {
             ShardPolicyKind::Greedy
         };
-        // Quantized-serving draw, appended after every pre-existing draw
-        // (same rule as above) and consumed unconditionally so the upgrade
-        // never shifts any earlier seed's scenario.
-        let quantize = rng.chance(0.5);
-        if quantize && scenario.shard_policy == ShardPolicyKind::Cma2c {
-            scenario.shard_policy = ShardPolicyKind::Cma2cQuantized;
-        }
         scenario
     }
 
@@ -308,7 +288,6 @@ impl Scenario {
         let shard_policy = match self.shard_policy {
             ShardPolicyKind::Greedy => "ShardPolicyKind::Greedy",
             ShardPolicyKind::Cma2c => "ShardPolicyKind::Cma2c",
-            ShardPolicyKind::Cma2cQuantized => "ShardPolicyKind::Cma2cQuantized",
         };
         format!(
             "Scenario {{\n        seed: 0x{:x},\n        n_regions: {},\n        n_stations: {},\n        charging_points: {},\n        fleet_size: {},\n        slots: {},\n        daily_trips_per_taxi: {:?},\n        alpha: {:?},\n        policy: {},\n        fault_plan: {},\n        shards: {},\n        threads: {},\n        shard_policy: {},\n    }}",

@@ -7,7 +7,7 @@
 use fairmove_agents::{Cma2cConfig, Cma2cShardPolicy};
 use fairmove_city::City;
 use fairmove_sim::{ShardPolicy, ShardedEnv, SimConfig};
-use fairmove_testkit::{golden, FidelityReport, QuantReport, Scenario, ShardPolicyKind};
+use fairmove_testkit::{golden, FidelityReport, Scenario, ShardPolicyKind};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -45,29 +45,6 @@ fn fidelity_report_golden() {
     golden::assert_golden(&golden_path("fidelity_report.golden"), &out);
 }
 
-/// Quantized-vs-exact pin: both serving digests, both service splits, and
-/// the probe-wave drift numbers at fixed seeds. The kernel-differential
-/// oracle bounds these on every generated scenario; the golden pins the
-/// exact values on two so quantizer drift is a reviewed bless.
-#[test]
-#[cfg_attr(
-    feature = "seeded-bug-shard",
-    ignore = "seeded shard bug shifts both digests"
-)]
-#[cfg_attr(
-    feature = "seeded-bug-quant",
-    ignore = "planted zero-point bug shifts the quant side"
-)]
-fn quant_report_golden() {
-    let mut out = String::new();
-    for seed in [11u64, 23u64] {
-        let mut scenario = Scenario::generate(seed);
-        scenario.fault_plan = None; // deltas are only contractual fault-free
-        let _ = write!(out, "{}", QuantReport::build(&scenario).canon());
-    }
-    golden::assert_golden(&golden_path("quant_report.golden"), &out);
-}
-
 /// Paper-scale pin: 6 slots of the Shenzhen-scale city under the sharded
 /// CMA2C policy (4 shards, 4 worker threads). Pins the digest — so the
 /// run is bit-reproducible, not just plausible — plus the decision count
@@ -102,56 +79,4 @@ fn paper_scale_cma2c_sharded_golden() {
         totals.trips, totals.revenue, totals.cost,
     );
     golden::assert_golden(&golden_path("paper_scale_cma2c_sharded.golden"), &out);
-}
-
-/// Paper-scale quantized pin: the same 6-slot Shenzhen-scale run served
-/// through the int8 actor, plus its explicit deltas against the exact
-/// serving — the gated answer to "what does quantization cost at paper
-/// scale". Release only: debug builds take minutes.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "paper scale is release-only")]
-#[cfg_attr(
-    feature = "seeded-bug-shard",
-    ignore = "seeded shard bug shifts the digest"
-)]
-#[cfg_attr(
-    feature = "seeded-bug-quant",
-    ignore = "planted zero-point bug shifts the quantized side"
-)]
-fn paper_scale_cma2c_quantized_golden() {
-    let config = SimConfig::shenzhen_scale();
-    let cma2c = Cma2cConfig::default();
-    let run = |factory: &dyn Fn(&City) -> Box<dyn ShardPolicy>| {
-        let mut env = ShardedEnv::with_policy(config.clone(), 4, factory);
-        env.run(6, 4);
-        env
-    };
-    let exact = run(&|city| Box::new(Cma2cShardPolicy::new(city, &cma2c)));
-    let quant = run(&|city| Box::new(Cma2cShardPolicy::new_quantized(city, &cma2c)));
-    let qt = quant.totals();
-    let et = exact.totals();
-    let mut out = String::from("paper-scale cma2c quantized v1\n");
-    let _ = writeln!(out, "slots=6 shards=4 digest={:016x}", quant.digest());
-    let _ = writeln!(
-        out,
-        "decisions={} served={} unserved={} handoffs={}",
-        quant.decisions(),
-        quant.trips_served(),
-        quant.trips_unserved(),
-        quant.cross_shard_handoffs(),
-    );
-    let _ = writeln!(
-        out,
-        "fleet_trips={} revenue={:.2} cost={:.2}",
-        qt.trips, qt.revenue, qt.cost,
-    );
-    let _ = writeln!(
-        out,
-        "delta-vs-exact decisions={} served={} trips={} revenue={:.2}",
-        quant.decisions() as i64 - exact.decisions() as i64,
-        quant.trips_served() as i64 - exact.trips_served() as i64,
-        qt.trips as i64 - et.trips as i64,
-        qt.revenue - et.revenue,
-    );
-    golden::assert_golden(&golden_path("paper_scale_cma2c_quantized.golden"), &out);
 }

@@ -15,10 +15,6 @@ use fairmove_testkit::{driver, DriverConfig, Scenario};
     feature = "seeded-bug-shard",
     ignore = "seeded shard bug makes scenarios with queue abandonment fail"
 )]
-#[cfg_attr(
-    feature = "seeded-bug-quant",
-    ignore = "planted zero-point bug makes every scenario fail the drift check"
-)]
 fn driver_passes_clean() {
     let config = DriverConfig::from_env();
     let report = driver::run(&config).unwrap_or_else(|f| panic!("{f}"));
@@ -93,40 +89,6 @@ fn seeded_bug_is_caught_and_shrunk() {
 /// asserted bounds (any seed catches the bug; not every trajectory shrinks
 /// equally well — abandonment can't happen before queues saturate, so the
 /// horizon floor is seed-dependent).
-/// Mutation smoke check for the quantizer: with the planted wrong stored
-/// zero-point compiled in (`seeded-bug-quant`), the kernel-differential
-/// oracle's actor-drift check must catch it — on *every* scenario, since
-/// the probe is size-independent — and the shrinker must collapse the repro
-/// all the way down to the generator's floor.
-#[cfg(feature = "seeded-bug-quant")]
-#[test]
-fn quant_seeded_bug_is_caught_and_shrunk() {
-    let config = DriverConfig {
-        iterations: 20,
-        ..DriverConfig::default()
-    };
-    let failure = driver::run(&config).expect_err("seeded quant bug must be caught");
-    assert_eq!(failure.oracle, "kernel-differential", "{failure}");
-    assert!(
-        failure.message.contains("drifted"),
-        "wrong check caught the bug: {}",
-        failure.message
-    );
-    assert!(
-        failure.shrunk.slots <= 32,
-        "shrunk repro still has {} slots:\n{failure}",
-        failure.shrunk.slots
-    );
-    assert!(
-        failure.shrunk.fleet_size <= 8,
-        "shrunk repro still has {} taxis:\n{failure}",
-        failure.shrunk.fleet_size
-    );
-    let repro = failure.repro();
-    assert!(repro.contains("#[test]"), "{repro}");
-    assert!(repro.contains("Scenario {"), "{repro}");
-}
-
 #[cfg(feature = "seeded-bug-shard")]
 #[test]
 fn shard_seeded_bug_is_caught_and_shrunk() {
