@@ -1,9 +1,9 @@
 //! RL-substrate microbenchmarks: MLP forward/backward and Adam steps at the
 //! shapes the agents actually use (22-wide state–action input, 64×64
-//! hidden).
+//! hidden), plus the frozen actor's forward at the dispatcher's chunk sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fairmove_rl::{Activation, Adam, Matrix, Mlp, Optimizer};
+use fairmove_rl::{Activation, Adam, Matrix, Mlp, MlpWorkspace, Optimizer};
 use std::time::Duration;
 
 fn net() -> Mlp {
@@ -52,11 +52,20 @@ fn bench_rl(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("matmul_128x64_64x64", |b| {
-        let a = Matrix::from_vec(128, 64, (0..128 * 64).map(|i| i as f64).collect());
-        let w = Matrix::from_vec(64, 64, (0..64 * 64).map(|i| i as f64).collect());
-        b.iter(|| a.matmul_transpose_b(&w));
-    });
+    // The frozen CMA2C actor (24 → 64 → 64 → 1) at the row counts the wave
+    // dispatcher scores per chunk, through the allocation-free path it uses.
+    for rows in [27, 108, 430] {
+        group.bench_function(format!("actor_forward_scratch_{rows}"), |b| {
+            let net = Mlp::new(&[24, 64, 64, 1], Activation::Relu, Activation::Linear, 7);
+            let x = Matrix::from_vec(
+                rows,
+                24,
+                (0..rows * 24).map(|i| (i % 13) as f64 / 13.0).collect(),
+            );
+            let mut ws = MlpWorkspace::new();
+            b.iter(|| net.forward_scratch(&x, &mut ws).data()[0]);
+        });
+    }
 
     group.finish();
 }

@@ -19,6 +19,8 @@
 //! Networks here are CPU-scale MLPs over low-dimensional fleet state — the
 //! same shape as the paper's, which are small dense networks, not conv nets.
 
+#![deny(unsafe_code)]
+
 pub mod loss;
 pub mod matrix;
 pub mod mlp;

@@ -1,15 +1,17 @@
 //! Row-major dense matrices.
 //!
 //! Sized for this workload: layer widths of tens to a few hundred, batch
-//! sizes in the low thousands. The three matmul orientations are
-//! row-partitioned across threads (via [`fairmove_parallel`]) and blocked
-//! over the shared operand for cache reuse, but every output element is
-//! still accumulated in ascending-`k` order by exactly one thread — so the
-//! result is **bit-identical** for every thread count, not merely close.
+//! sizes in the low thousands. The two matmul orientations backprop needs
+//! and the fused dense-layer forward (`act(x · Wᵀ + b)` over pre-packed
+//! weights) are row-partitioned across threads (via [`fairmove_parallel`])
+//! and register-tiled, but every output element is still accumulated in
+//! ascending-`k` order by exactly one thread — so the result is
+//! **bit-identical** for every thread count, not merely close.
 //! Small products stay on the caller's stack: spawning scoped threads costs
 //! more than a sub-millisecond multiply, so the auto entry points only fan
 //! out above [`PAR_MIN_FLOPS`] multiply-adds.
 
+use crate::mlp::Activation;
 use serde::{Deserialize, Serialize};
 
 /// Minimum multiply-add count before the auto entry points (`matmul` & co.)
@@ -22,33 +24,10 @@ const PAR_MIN_FLOPS: usize = 1 << 22;
 /// it is reused across every output row of a chunk.
 const BLOCK_K: usize = 64;
 
-/// Output columns walked at once in the `matmul_transpose_b` kernel. Eight
-/// independent accumulator chains hide the FP-add latency (~4 cycles) that
-/// a single dot-product chain is bound by; per chain the summation order is
-/// unchanged, so the unroll is invisible in the result bits.
-const TB_UNROLL: usize = 8;
-
-/// Row threshold above which `matmul_transpose_b*` first copies `other`
-/// into a k-major scratch and runs the broadcast-accumulate kernel (the
-/// same inner loop as [`Matrix::matmul`]): one element of the left operand
-/// is broadcast against a *contiguous* scratch row, which the compiler
-/// vectorizes, and an exactly-zero left element (common with ReLU
-/// activations) skips its whole row of multiply-adds. Below the threshold
-/// the O(k·n) transposition would cost as much as the product itself, so
-/// small batches keep the dot-product path.
-///
-/// Both paths accumulate every output element from `+0.0` in ascending-`k`
-/// order with one chain per element, and for finite operands skipping an
-/// `a == 0.0` term only drops a `±0.0` addend, which can never flip any
-/// partial sum that started at `+0.0` — so the two paths (and every thread
-/// count) produce bit-identical results, as `transpose_b_paths_agree_bitwise`
-/// pins.
-const TB_TRANSPOSE_MIN_ROWS: usize = 4;
-
 /// Output columns held in one register tile by the broadcast-accumulate
-/// kernel. Eight `f64` lanes span two AVX2 vectors (or four NEON ones) and
-/// leave headroom for the compiler to keep the whole tile in registers
-/// across the `k` loop.
+/// and dense-layer kernels. Eight `f64` lanes span two AVX2 vectors (or four
+/// NEON ones) and leave headroom for the compiler to keep the whole tile in
+/// registers across the `k` loop.
 const VEC_LANES: usize = 8;
 
 /// The broadcast-accumulate kernel for one `k` block: walks the output row
@@ -96,12 +75,151 @@ fn axpy_block(out_row: &mut [f64], a_block: &[f64], b_slab: &[f64], n_cols: usiz
     }
 }
 
-thread_local! {
-    /// Reusable k-major scratch for the transposed-operand fast path. One
-    /// buffer per thread: it grows to the largest `k × n` operand seen and
-    /// is reused thereafter, so steady-state inference stays allocation-free.
-    static TB_SCRATCH: std::cell::RefCell<Vec<f64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Rows of the left operand held in one register tile by the dense-layer
+/// kernel. With [`VEC_LANES`] output columns per tile, four rows keep 32
+/// partial sums live: eight AVX2 registers, beside two weight vectors and
+/// one broadcast input.
+const ROW_TILE: usize = 4;
+
+/// Which compilation of [`dense_rows_body`] runs. Both compile the same
+/// source, whose per-element operation order the compiler may not change
+/// (Rust never contracts a multiply and an add into an fma), so they agree
+/// bitwise. The choice exists so the tests can run each one explicitly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KernelBuild {
+    /// The crate's baseline target features (SSE2 on x86-64). Production
+    /// code always asks for [`KernelBuild::Avx2`]; the tests run this one.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Portable,
+    /// The body compiled with AVX2 enabled, used when the running CPU has
+    /// it; otherwise the portable build runs.
+    Avx2,
+}
+
+/// Whether the running CPU supports AVX2 (std caches the probe).
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// `out = act(x · wt + bias)` over whole rows, through the `build` chosen
+/// (see [`KernelBuild`]). `x` is `rows × k` and `out` is `rows × n`, both
+/// row-major; `wt` is the `k × n` k-major packed weight and `bias` has `n`
+/// entries.
+#[allow(unsafe_code)]
+fn dense_rows(
+    build: KernelBuild,
+    x: &[f64],
+    wt: &[f64],
+    bias: &[f64],
+    act: Activation,
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if build == KernelBuild::Avx2 && avx2_detected() {
+        // SAFETY: `dense_rows_avx2` requires only that the CPU supports
+        // AVX2, which `avx2_detected` has just confirmed at runtime.
+        unsafe { dense_rows_avx2(x, wt, bias, act, out) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = build; // only x86-64 has a second build
+    dense_rows_body(x, wt, bias, act, out);
+}
+
+/// [`dense_rows_body`] compiled with AVX2 enabled: two 4-lane vectors per
+/// 8-column tile row. Only AVX2 is enabled, not FMA, and Rust does not
+/// fuse a multiply and an add on its own, so every rounding step matches
+/// the portable build. Calling it needs `unsafe`: the caller must have
+/// checked that the running CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dense_rows_avx2(x: &[f64], wt: &[f64], bias: &[f64], act: Activation, out: &mut [f64]) {
+    dense_rows_body(x, wt, bias, act, out);
+}
+
+/// The dense-layer kernel body: [`ROW_TILE`]-row tiles, then single rows
+/// for the remainder. Each output row depends only on its own input row, so
+/// how rows are grouped into tiles (or chunks across threads) never changes
+/// a bit of the result.
+#[inline(always)]
+fn dense_rows_body(x: &[f64], wt: &[f64], bias: &[f64], act: Activation, out: &mut [f64]) {
+    let n = bias.len();
+    let k = wt.len() / n;
+    let rows = out.len() / n;
+    let tiled = rows - rows % ROW_TILE;
+    let (out_tiled, out_rest) = out.split_at_mut(tiled * n);
+    for (t, out_tile) in out_tiled.chunks_exact_mut(ROW_TILE * n).enumerate() {
+        let x_tile = &x[t * ROW_TILE * k..(t + 1) * ROW_TILE * k];
+        dense_tile::<ROW_TILE>(x_tile, wt, bias, act, out_tile);
+    }
+    for (r, out_row) in (tiled..rows).zip(out_rest.chunks_exact_mut(n)) {
+        dense_tile::<1>(&x[r * k..(r + 1) * k], wt, bias, act, out_row);
+    }
+}
+
+/// One `R`-row band of the dense-layer kernel, walked in [`VEC_LANES`]-wide
+/// column tiles whose `R × 8` partial sums stay in registers across the
+/// whole `k` loop. Every output element is one chain that starts at `+0.0`
+/// and adds `x[i][k] · wᵀ[k][j]` in ascending `k`; the bias is added after
+/// the chain and the activation applied on store — operation for operation
+/// the naive `x · Wᵀ`, then `+ b`, then `act`. Remainder columns
+/// (`n % 8`) run one column at a time with `R` independent chains.
+///
+/// No addend is skipped: on finite inputs a `±0.0` addend never changes a
+/// chain that started at `+0.0`, so skipping zero activations would save
+/// work without changing bits, but it would also turn `0 · NaN` into `0`.
+#[inline(always)]
+fn dense_tile<const R: usize>(
+    x: &[f64],
+    wt: &[f64],
+    bias: &[f64],
+    act: Activation,
+    out: &mut [f64],
+) {
+    let n = bias.len();
+    let k_len = x.len() / R;
+    let xs: [&[f64]; R] = std::array::from_fn(|i| &x[i * k_len..(i + 1) * k_len]);
+    let wt = &wt[..k_len * n];
+    let mut j = 0;
+    while j + VEC_LANES <= n {
+        let mut acc = [[0.0f64; VEC_LANES]; R];
+        for k in 0..k_len {
+            let w: &[f64; VEC_LANES] = wt[k * n + j..k * n + j + VEC_LANES]
+                .try_into()
+                .expect("a full column tile");
+            for i in 0..R {
+                let a = xs[i][k];
+                for c in 0..VEC_LANES {
+                    acc[i][c] += a * w[c];
+                }
+            }
+        }
+        for i in 0..R {
+            for c in 0..VEC_LANES {
+                out[i * n + j + c] = act.apply(acc[i][c] + bias[j + c]);
+            }
+        }
+        j += VEC_LANES;
+    }
+    for j in j..n {
+        let mut acc = [0.0f64; R];
+        for k in 0..k_len {
+            let wv = wt[k * n + j];
+            for i in 0..R {
+                acc[i] += xs[i][k] * wv;
+            }
+        }
+        for i in 0..R {
+            out[i * n + j] = act.apply(acc[i] + bias[j]);
+        }
+    }
 }
 
 /// Picks the worker count for an auto entry point: all configured threads
@@ -281,27 +399,63 @@ impl Matrix {
         );
     }
 
-    /// `self · otherᵀ` (`m×k · n×k → m×n`), without materializing the
-    /// transpose. This is the hot orientation in backprop *and* the only
-    /// orientation in the inference forward pass.
-    pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        self.matmul_transpose_b_threads(other, auto_threads(self.rows * self.cols * other.rows))
+    /// One dense layer, `out = act(self · Wᵀ + bias)`, with `w_packed`
+    /// holding `Wᵀ` (`in × out`, k-major) so the kernel reads contiguous
+    /// weight rows. Fans rows across threads above [`PAR_MIN_FLOPS`] and
+    /// runs the AVX2 build when the CPU has it; neither choice changes a
+    /// bit of `out`, which is resized in place (no allocation once it has
+    /// reached its high-water capacity).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
+    pub(crate) fn dense_into(
+        &self,
+        w_packed: &Matrix,
+        bias: &[f64],
+        act: Activation,
+        out: &mut Matrix,
+    ) {
+        let threads = auto_threads(self.rows * self.cols * w_packed.cols);
+        self.dense_threads_into(w_packed, bias, act, threads, KernelBuild::Avx2, out);
     }
 
-    /// [`Self::matmul_transpose_b`] with an explicit worker count.
-    pub fn matmul_transpose_b_threads(&self, other: &Matrix, threads: usize) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transpose_b_threads_into(other, threads, &mut out);
-        out
-    }
-
-    /// [`Self::matmul_transpose_b`] with the auto worker count, writing into
-    /// a caller-owned output matrix (no allocation after warmup).
-    pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_transpose_b_threads_into(
-            other,
-            auto_threads(self.rows * self.cols * other.rows),
-            out,
+    /// [`Self::dense_into`] with an explicit worker count and build.
+    ///
+    /// Each output row is owned by exactly one thread, and no row's result
+    /// depends on which other rows share its tile, so the result is
+    /// bit-identical for every `threads` value and both builds.
+    pub(crate) fn dense_threads_into(
+        &self,
+        w_packed: &Matrix,
+        bias: &[f64],
+        act: Activation,
+        threads: usize,
+        build: KernelBuild,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(
+            self.cols, w_packed.rows,
+            "dense {}x{} · {}x{}",
+            self.rows, self.cols, w_packed.rows, w_packed.cols
+        );
+        assert_eq!(bias.len(), w_packed.cols, "bias width mismatch");
+        out.resize_in_place(self.rows, w_packed.cols);
+        if out.data.is_empty() {
+            return;
+        }
+        let n_cols = w_packed.cols;
+        let width = self.cols;
+        let rows_per_chunk = chunk_rows(self.rows, threads);
+        fairmove_parallel::par_chunks_mut_threads(
+            threads,
+            &mut out.data,
+            rows_per_chunk * n_cols,
+            |chunk_idx, out_chunk| {
+                let row0 = chunk_idx * rows_per_chunk;
+                let rows = out_chunk.len() / n_cols;
+                let x = &self.data[row0 * width..(row0 + rows) * width];
+                dense_rows(build, x, &w_packed.data, bias, act, out_chunk);
+            },
         );
     }
 
@@ -309,121 +463,6 @@ impl Matrix {
     #[inline]
     pub fn capacity_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// [`Self::matmul_transpose_b`] writing into a caller-owned output
-    /// matrix (resized in place, no allocation after warmup).
-    ///
-    /// Every output element is a single left-to-right dot product computed
-    /// by one thread. The kernel walks [`TB_UNROLL`] output columns at once
-    /// — independent accumulator chains that break the FP-add latency
-    /// dependency — but each chain still sums its own dot product in
-    /// ascending-`k` order, so the result is bit-identical to the naive
-    /// triple loop for every `threads` value and every unroll width.
-    pub fn matmul_transpose_b_threads_into(
-        &self,
-        other: &Matrix,
-        threads: usize,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_tb {}x{} · ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        out.resize_in_place(self.rows, other.rows);
-        if out.data.is_empty() || self.cols == 0 {
-            // cols == 0 means every dot product is empty: the zeroed output
-            // is already the answer, and the fast path's `chunks_exact(0)`
-            // transpose would panic (found by the edge-shape property test).
-            return;
-        }
-        let n_cols = other.rows;
-        let width = self.cols;
-        let rows_per_chunk = chunk_rows(self.rows, threads);
-        if self.rows >= TB_TRANSPOSE_MIN_ROWS {
-            // The fast path's zero-skip silently drops `0.0 * b` terms —
-            // harmless for finite `b` (a `±0.0` addend can't flip a partial
-            // sum started at `+0.0`) but it turns `0.0 * NaN`/`0.0 * Inf`
-            // into `0.0`, so on non-finite inputs the paths would disagree.
-            // The inference stack guards with `params_finite`; this assert
-            // formalizes the contract at the kernel boundary.
-            debug_assert!(
-                self.data.iter().all(|v| v.is_finite()) && other.data.iter().all(|v| v.is_finite()),
-                "matmul_transpose_b fast path requires finite inputs \
-                 (zero-skip drops 0*non-finite terms)"
-            );
-            TB_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                scratch.clear();
-                scratch.resize(width * n_cols, 0.0);
-                for (j, other_row) in other.data.chunks_exact(width).enumerate() {
-                    for (k, &v) in other_row.iter().enumerate() {
-                        scratch[k * n_cols + j] = v;
-                    }
-                }
-                let bt: &[f64] = &scratch;
-                fairmove_parallel::par_chunks_mut_threads(
-                    threads,
-                    &mut out.data,
-                    rows_per_chunk * n_cols,
-                    |chunk_idx, out_chunk| {
-                        let row0 = chunk_idx * rows_per_chunk;
-                        for kb in (0..width).step_by(BLOCK_K) {
-                            let kend = (kb + BLOCK_K).min(width);
-                            for (local_i, out_row) in out_chunk.chunks_mut(n_cols).enumerate() {
-                                let a_row = self.row(row0 + local_i);
-                                let b_slab = &bt[kb * n_cols..kend * n_cols];
-                                axpy_block(out_row, &a_row[kb..kend], b_slab, n_cols);
-                            }
-                        }
-                    },
-                );
-            });
-            return;
-        }
-        fairmove_parallel::par_chunks_mut_threads(
-            threads,
-            &mut out.data,
-            rows_per_chunk * n_cols,
-            |chunk_idx, out_chunk| {
-                let row0 = chunk_idx * rows_per_chunk;
-                // Small-batch dot-product fallback: it is already
-                // TB_UNROLL-wide and transposing here would cost as much as
-                // the product (see TB_TRANSPOSE_MIN_ROWS).
-                // Block over `other`'s rows so a block stays cached while
-                // it is dotted against every row of this chunk.
-                for jb in (0..n_cols).step_by(BLOCK_K) {
-                    let jend = (jb + BLOCK_K).min(n_cols);
-                    for (local_i, out_row) in out_chunk.chunks_mut(n_cols).enumerate() {
-                        let a_row = self.row(row0 + local_i);
-                        let mut j = jb;
-                        while j + TB_UNROLL <= jend {
-                            let mut acc = [0.0f64; TB_UNROLL];
-                            let mut b_rows = [&other.data[..0]; TB_UNROLL];
-                            for (n, b_row) in b_rows.iter_mut().enumerate() {
-                                *b_row = &other.data[(j + n) * width..(j + n + 1) * width];
-                            }
-                            for (k, &a) in a_row.iter().enumerate() {
-                                for n in 0..TB_UNROLL {
-                                    acc[n] += a * b_rows[n][k];
-                                }
-                            }
-                            out_row[j..j + TB_UNROLL].copy_from_slice(&acc);
-                            j += TB_UNROLL;
-                        }
-                        for (jj, o) in out_row[j..jend].iter_mut().enumerate() {
-                            let b_row = other.row(j + jj);
-                            let mut acc = 0.0;
-                            for (&a, &b) in a_row.iter().zip(b_row) {
-                                acc += a * b;
-                            }
-                            *o = acc;
-                        }
-                    }
-                }
-            },
-        );
     }
 
     /// `selfᵀ · other` (`k×m ᵀ· k×n → m×n`).
@@ -560,6 +599,24 @@ mod tests {
         Matrix::from_vec(rows, cols, v.to_vec())
     }
 
+    const BUILDS: [KernelBuild; 2] = [KernelBuild::Portable, KernelBuild::Avx2];
+    const ACTS: [Activation; 3] = [Activation::Relu, Activation::Tanh, Activation::Linear];
+
+    /// The dense kernel on `x` with weights `w` stored `out × in`, as `Dense`
+    /// keeps them, packed here the way `Dense::pack` does.
+    fn dense(
+        x: &Matrix,
+        w: &Matrix,
+        b: &[f64],
+        act: Activation,
+        threads: usize,
+        build: KernelBuild,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        x.dense_threads_into(&w.transpose(), b, act, threads, build, &mut out);
+        out
+    }
+
     #[test]
     fn matmul_known_product() {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -585,16 +642,25 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transpose_b_equals_explicit() {
+    fn dense_kernel_equals_explicit() {
         let a = m(2, 3, &[1.0, -2.0, 3.0, 0.5, 4.0, -1.0]);
-        let b = m(
+        let w = m(
             4,
             3,
             &[2.0, 1.0, 0.0, -1.0, 3.0, 2.0, 0.0, 0.0, 1.0, 5.0, -2.0, 0.5],
         );
-        let fast = a.matmul_transpose_b(&b);
-        let explicit = a.matmul(&b.transpose());
-        assert_eq!(fast, explicit);
+        let bias = [0.5, -1.0, 0.0, 2.0];
+        let mut explicit = a.matmul(&w.transpose());
+        explicit.add_row_broadcast(&bias);
+        assert_eq!(
+            explicit.data(),
+            &[0.5, -2.0, 3.0, 12.5, 5.5, 8.5, -1.0, -4.0]
+        );
+        for build in BUILDS {
+            assert_eq!(dense(&a, &w, &bias, Activation::Linear, 1, build), explicit);
+            let relu = dense(&a, &w, &bias, Activation::Relu, 1, build);
+            assert_eq!(relu.data(), &[0.5, 0.0, 3.0, 12.5, 5.5, 8.5, 0.0, 0.0]);
+        }
     }
 
     #[test]
@@ -687,6 +753,15 @@ mod tests {
         out
     }
 
+    /// The dense-layer oracle: the naive `x · Wᵀ` loop, then `+ b`, then the
+    /// activation — the three passes the fused kernel does in one.
+    fn reference_dense(x: &Matrix, w: &Matrix, b: &[f64], act: Activation) -> Matrix {
+        let mut out = reference_matmul_tb(x, w);
+        out.add_row_broadcast(b);
+        out.map_inplace(|v| act.apply(v));
+        out
+    }
+
     fn reference_matmul_ta(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.cols(), b.cols());
         for k in 0..a.rows() {
@@ -743,62 +818,106 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transpose_b_bit_identical_across_thread_counts() {
+    fn dense_kernel_bit_identical_across_thread_counts() {
         let a = scrambled(33, 70, 3);
-        let b = scrambled(81, 70, 4);
-        let reference = reference_matmul_tb(&a, &b);
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                a.matmul_transpose_b_threads(&b, threads),
-                reference,
-                "threads={threads}"
-            );
+        let w = scrambled(81, 70, 4);
+        let bias = scrambled(1, 81, 5).data;
+        for act in ACTS {
+            let reference = reference_dense(&a, &w, &bias, act);
+            for build in BUILDS {
+                for threads in [1, 2, 4, 8] {
+                    assert_eq!(
+                        dense(&a, &w, &bias, act, threads, build),
+                        reference,
+                        "{act:?} {build:?} threads={threads}"
+                    );
+                }
+            }
+            let mut auto = Matrix::zeros(0, 0);
+            a.dense_into(&w.transpose(), &bias, act, &mut auto);
+            assert_eq!(auto, reference, "{act:?} auto");
         }
-        assert_eq!(a.matmul_transpose_b(&b), reference);
     }
 
     #[test]
     fn transpose_b_paths_agree_bitwise() {
         // ReLU-like left operand: clamp negatives to zero so roughly half
-        // the activations are exactly 0.0, exercising the fast path's
-        // zero-skip against full accumulation.
+        // the activations are exactly 0.0. The kernel adds their `±0.0`
+        // products and the naive loop adds them too; on finite inputs a
+        // `±0.0` addend never changes a chain that started at `+0.0`, so
+        // skipping them would not change these bits either.
         let mut a = scrambled(37, 70, 11);
         for v in a.data.iter_mut() {
             if *v < 0.0 {
                 *v = 0.0;
             }
         }
-        let b = scrambled(29, 70, 12);
-        let reference = reference_matmul_tb(&a, &b);
-        // 37 rows takes the transposed-scratch kernel at every thread count.
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                a.matmul_transpose_b_threads(&b, threads),
-                reference,
-                "threads={threads}"
-            );
+        let w = scrambled(29, 70, 12);
+        let bias = scrambled(1, 29, 13).data;
+        let reference = reference_dense(&a, &w, &bias, Activation::Relu);
+        for build in BUILDS {
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    dense(&a, &w, &bias, Activation::Relu, threads, build),
+                    reference,
+                    "{build:?} threads={threads}"
+                );
+            }
+            // Row i of the output depends only on row i of `a`, and a
+            // one-row input runs the single-row band where 37 rows run
+            // the ROW_TILE band: compare the two paths bitwise, row by row.
+            for i in 0..a.rows() {
+                let row = Matrix::from_vec(1, a.cols(), a.row(i).to_vec());
+                let single = dense(&row, &w, &bias, Activation::Relu, 1, build);
+                assert_eq!(
+                    single.data(),
+                    &reference.data()[i * w.rows()..(i + 1) * w.rows()],
+                    "{build:?} row {i}"
+                );
+            }
+            // Row counts straddling the tile agree with the naive loop too.
+            for rows in [ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 2 * ROW_TILE + 3] {
+                let small_a = scrambled(rows, 24, 13);
+                let small_w = scrambled(7, 24, 14);
+                assert_eq!(
+                    dense(&small_a, &small_w, &bias[..7], Activation::Relu, 2, build),
+                    reference_dense(&small_a, &small_w, &bias[..7], Activation::Relu),
+                    "{build:?} rows={rows}"
+                );
+            }
         }
-        // Row i of the product depends only on row i of `a`, and a one-row
-        // left operand takes the dot-product fallback: compare the two
-        // kernels bitwise, row by row.
-        for i in 0..a.rows() {
-            let row = Matrix::from_vec(1, a.cols(), a.row(i).to_vec());
-            let fallback = row.matmul_transpose_b_threads(&b, 1);
-            assert_eq!(
-                fallback.data(),
-                &reference.data()[i * b.rows()..(i + 1) * b.rows()],
-                "row {i}"
-            );
+    }
+
+    #[test]
+    fn portable_and_avx2_builds_agree_bitwise() {
+        if !avx2_detected() {
+            eprintln!("AVX2 not detected: both builds run the portable body");
         }
-        // Shapes straddling the threshold agree with the naive loop too.
-        for rows in [TB_TRANSPOSE_MIN_ROWS - 1, TB_TRANSPOSE_MIN_ROWS] {
-            let small_a = scrambled(rows, 24, 13);
-            let small_b = scrambled(7, 24, 14);
-            assert_eq!(
-                small_a.matmul_transpose_b_threads(&small_b, 2),
-                reference_matmul_tb(&small_a, &small_b),
-                "rows={rows}"
-            );
+        // The actor's layer shapes at the dispatcher's chunk sizes, plus
+        // odd ones; non-finite inputs too, compared by bit pattern.
+        for (rows, k, n) in [
+            (27, 24, 64),
+            (108, 64, 64),
+            (430, 64, 1),
+            (7, 33, 17),
+            (1, 5, 9),
+        ] {
+            let mut a = scrambled(rows, k, (rows * k) as u64);
+            a.data[0] = f64::INFINITY;
+            let mut w = scrambled(n, k, (k * n) as u64);
+            w.set(n - 1, k / 2, f64::NAN);
+            let bias = scrambled(1, n, n as u64).data;
+            for act in ACTS {
+                let bits = |build| -> Vec<u64> {
+                    let out = dense(&a, &w, &bias, act, 1, build);
+                    out.data().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(KernelBuild::Portable),
+                    bits(KernelBuild::Avx2),
+                    "{rows}x{k}x{n} {act:?}"
+                );
+            }
         }
     }
 
@@ -825,8 +944,17 @@ mod tests {
         let a = Matrix::zeros(3, 0);
         let b0 = Matrix::zeros(0, 4);
         assert_eq!(a.matmul_threads(&b0, 4), Matrix::zeros(3, 4));
-        let c = Matrix::zeros(4, 0);
-        assert_eq!(a.matmul_transpose_b_threads(&c, 4), Matrix::zeros(3, 4));
+        // No inputs: every output is the activated bias.
+        let bias = [1.0, -2.0, 0.5, -0.25];
+        let expected = m(
+            3,
+            4,
+            &[1.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.5, 0.0],
+        );
+        for build in BUILDS {
+            let c = Matrix::zeros(4, 0);
+            assert_eq!(dense(&a, &c, &bias, Activation::Relu, 4, build), expected);
+        }
         assert_eq!(
             Matrix::zeros(0, 3).transpose_a_matmul_threads(&Matrix::zeros(0, 2), 4),
             Matrix::zeros(3, 2)
@@ -854,8 +982,12 @@ mod tests {
         let ptr = out.data().as_ptr();
         a.matmul_threads_into(&b, 2, &mut out);
         assert_eq!(out, a.matmul_threads(&b, 2));
-        a.matmul_transpose_b_threads_into(&bt, 2, &mut out);
-        assert_eq!(out, a.matmul_transpose_b_threads(&bt, 2));
+        let bias = scrambled(1, 11, 12).data;
+        a.dense_threads_into(&b, &bias, Activation::Tanh, 2, KernelBuild::Avx2, &mut out);
+        assert_eq!(
+            out,
+            dense(&a, &bt, &bias, Activation::Tanh, 2, KernelBuild::Avx2)
+        );
         a.transpose_a_matmul_threads_into(&scrambled(13, 9, 11), 2, &mut out);
         assert_eq!(out, a.transpose_a_matmul_threads(&scrambled(13, 9, 11), 2));
         assert_eq!(out.data().as_ptr(), ptr, "no reallocation within capacity");
@@ -863,16 +995,24 @@ mod tests {
 
     #[test]
     fn tb_unroll_edges_match_reference() {
-        // Column counts straddling the unroll width (and the BLOCK_K edge)
-        // exercise both the unrolled body and the scalar tail.
+        // Column counts straddling the 8-column tile exercise both the
+        // tile and the column-at-a-time tail; row counts straddling
+        // ROW_TILE exercise the row band and the single-row remainder.
         for n_out in [1, 7, 8, 9, 15, 16, 17, 63, 64, 65] {
-            let a = scrambled(5, 33, n_out as u64);
-            let b = scrambled(n_out, 33, n_out as u64 + 100);
-            assert_eq!(
-                a.matmul_transpose_b_threads(&b, 1),
-                reference_matmul_tb(&a, &b),
-                "n_out={n_out}"
-            );
+            for rows in [1, ROW_TILE, ROW_TILE + 1, 2 * ROW_TILE + 3] {
+                let a = scrambled(rows, 33, n_out as u64);
+                let w = scrambled(n_out, 33, n_out as u64 + 100);
+                let bias = scrambled(1, n_out, n_out as u64 + 200).data;
+                for act in ACTS {
+                    for build in BUILDS {
+                        assert_eq!(
+                            dense(&a, &w, &bias, act, 1, build),
+                            reference_dense(&a, &w, &bias, act),
+                            "rows={rows} n_out={n_out} {act:?} {build:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -896,17 +1036,20 @@ mod tests {
             let a = scrambled(m_rows, k, (m_rows * k * n) as u64);
             let b = scrambled(k, n, (m_rows + k + n) as u64);
             let bt = b.transpose();
+            let bias = scrambled(1, n, (n + 7) as u64).data;
             for threads in [1, 2, 4] {
                 assert_eq!(
                     a.matmul_threads(&b, threads),
                     reference_matmul(&a, &b),
                     "matmul {m_rows}x{k}x{n} t={threads}"
                 );
-                assert_eq!(
-                    a.matmul_transpose_b_threads(&bt, threads),
-                    reference_matmul_tb(&a, &bt),
-                    "matmul_tb {m_rows}x{k}x{n} t={threads}"
-                );
+                for build in BUILDS {
+                    assert_eq!(
+                        dense(&a, &bt, &bias, Activation::Linear, threads, build),
+                        reference_dense(&a, &bt, &bias, Activation::Linear),
+                        "dense {m_rows}x{k}x{n} t={threads} {build:?}"
+                    );
+                }
             }
         }
     }
@@ -933,24 +1076,46 @@ mod tests {
                 "{m_rows}x{k}x{n}"
             );
             let bt = scrambled(n, k, 23);
-            assert_eq!(
-                a.matmul_transpose_b_threads(&bt, 3),
-                reference_matmul_tb(&a, &bt),
-                "tb {m_rows}x{k}x{n}"
-            );
+            let bias = scrambled(1, n, 24).data;
+            for build in BUILDS {
+                assert_eq!(
+                    dense(&a, &bt, &bias, Activation::Relu, 3, build),
+                    reference_dense(&a, &bt, &bias, Activation::Relu),
+                    "dense {m_rows}x{k}x{n} {build:?}"
+                );
+            }
         }
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "finite inputs")]
-    fn transpose_b_fast_path_rejects_nan_in_debug() {
-        // ≥ TB_TRANSPOSE_MIN_ROWS rows takes the scratch fast path, whose
-        // zero-skip would silently turn 0.0 * NaN into 0.0.
-        let mut a = scrambled(4, 8, 31);
-        a.set(2, 3, f64::NAN);
-        let b = scrambled(5, 8, 32);
-        let _ = a.matmul_transpose_b_threads(&b, 1);
+    fn nan_weight_yields_nan_output_at_one_and_many_rows() {
+        // A kernel that skipped exactly-zero inputs would turn `0 · NaN`
+        // into `0` and hide a poisoned weight behind a ReLU zero. This one
+        // skips nothing: a NaN weight poisons its output column at every
+        // row count, even where every input in its `k` slot is zero.
+        let mut w = scrambled(5, 8, 32);
+        w.set(2, 3, f64::NAN);
+        let bias = scrambled(1, 5, 33).data;
+        for rows in [1, ROW_TILE, ROW_TILE + 1] {
+            let mut a = scrambled(rows, 8, 31);
+            for r in 0..rows {
+                a.set(r, 3, 0.0);
+            }
+            for build in BUILDS {
+                for act in [Activation::Linear, Activation::Tanh] {
+                    let out = dense(&a, &w, &bias, act, 1, build);
+                    for r in 0..rows {
+                        for j in 0..5 {
+                            assert_eq!(
+                                out.get(r, j).is_nan(),
+                                j == 2,
+                                "rows={rows} r={r} j={j} {build:?} {act:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -969,13 +1134,16 @@ mod tests {
                 *v = -f64::MIN_POSITIVE / ((i + 3) as f64);
             }
         }
-        let reference = reference_matmul_tb(&a, &b);
-        for threads in [1, 2] {
-            assert_eq!(
-                a.matmul_transpose_b_threads(&b, threads),
-                reference,
-                "t={threads}"
-            );
+        let bias = [f64::MIN_POSITIVE / 3.0; 9];
+        let reference = reference_dense(&a, &b, &bias, Activation::Linear);
+        for build in BUILDS {
+            for threads in [1, 2] {
+                assert_eq!(
+                    dense(&a, &b, &bias, Activation::Linear, threads, build),
+                    reference,
+                    "t={threads} {build:?}"
+                );
+            }
         }
     }
 
@@ -990,10 +1158,14 @@ mod tests {
             let b = scrambled(k, n, salt.wrapping_add(9));
             prop_assert_eq!(a.matmul_threads(&b, threads), reference_matmul(&a, &b));
             let bt = scrambled(n, k, salt.wrapping_add(17));
-            prop_assert_eq!(
-                a.matmul_transpose_b_threads(&bt, threads),
-                reference_matmul_tb(&a, &bt)
-            );
+            let bias = scrambled(1, n, salt.wrapping_add(31)).data;
+            let act = ACTS[salt as usize % ACTS.len()];
+            for build in BUILDS {
+                prop_assert_eq!(
+                    dense(&a, &bt, &bias, act, threads, build),
+                    reference_dense(&a, &bt, &bias, act)
+                );
+            }
         }
 
         #[test]
@@ -1005,9 +1177,10 @@ mod tests {
             let a = scrambled(m, k, salt);
             let b = scrambled(k, n, salt.wrapping_add(77));
             prop_assert_eq!(a.matmul_threads(&b, threads), reference_matmul(&a, &b));
+            let bias = scrambled(1, n, salt ^ 3).data;
             prop_assert_eq!(
-                a.matmul_transpose_b_threads(&b.transpose(), threads),
-                reference_matmul_tb(&a, &b.transpose())
+                dense(&a, &b.transpose(), &bias, Activation::Relu, threads, KernelBuild::Avx2),
+                reference_dense(&a, &b.transpose(), &bias, Activation::Relu)
             );
             prop_assert_eq!(
                 a.transpose_a_matmul_threads(&scrambled(m, n, salt ^ 5), threads),

@@ -22,7 +22,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: f64) -> f64 {
+    #[inline]
+    pub(crate) fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Tanh => x.tanh(),
@@ -50,9 +51,17 @@ impl Activation {
 }
 
 /// One dense layer: `y = act(x · Wᵀ + b)`, `W` is `out × in`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialize-only: `w_packed` is derived state, so weights enter a layer
+/// only through the mutators that call [`Self::pack`] (`Mlp::new`,
+/// `import_params` and the update methods), never through serde.
+#[derive(Debug, Clone, Serialize)]
 struct Dense {
     w: Matrix,
+    /// `Wᵀ` (`in × out`, k-major), the operand the forward kernel reads.
+    /// Rebuilt by [`Self::pack`], which every weight mutator calls.
+    #[serde(skip)]
+    w_packed: Matrix,
     b: Vec<f64>,
     activation: Activation,
     /// Cached input from the last `forward_train` call.
@@ -73,34 +82,41 @@ impl Dense {
         let data = (0..input_dim * output_dim)
             .map(|_| rng.gen_range(-1.0..1.0) * scale)
             .collect();
-        Dense {
+        let mut layer = Dense {
             w: Matrix::from_vec(output_dim, input_dim, data),
+            w_packed: Matrix::default(),
             b: vec![0.0; output_dim],
             activation,
             input: None,
             pre_activation: None,
-        }
+        };
+        layer.pack();
+        layer
+    }
+
+    /// Rebuilds [`Self::w_packed`] from `w`. Every change to `w` must be
+    /// followed by this call, or the forward pass keeps reading the old
+    /// weights.
+    fn pack(&mut self) {
+        self.w_packed = self.w.transpose();
     }
 
     fn forward(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul_transpose_b(&self.w);
-        z.add_row_broadcast(&self.b);
-        z.map_inplace(|v| self.activation.apply(v));
-        z
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(x, &mut out);
+        out
     }
 
     /// [`Self::forward`] into a caller-owned matrix: same kernel with the
     /// same auto thread count, so the output bits match exactly — only the
     /// allocation is gone.
     fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_transpose_b_into(&self.w, out);
-        out.add_row_broadcast(&self.b);
-        out.map_inplace(|v| self.activation.apply(v));
+        x.dense_into(&self.w_packed, &self.b, self.activation, out);
     }
 
     fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul_transpose_b(&self.w);
-        z.add_row_broadcast(&self.b);
+        let mut z = Matrix::zeros(0, 0);
+        x.dense_into(&self.w_packed, &self.b, Activation::Linear, &mut z);
         self.input = Some(x.clone());
         self.pre_activation = Some(z.clone());
         z.map_inplace(|v| self.activation.apply(v));
@@ -194,8 +210,9 @@ impl Gradients {
     }
 }
 
-/// A feed-forward network of [`Dense`] layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A feed-forward network of [`Dense`] layers. Load saved weights with
+/// [`crate::load_mlp`] or [`Mlp::import_params`].
+#[derive(Debug, Clone, Serialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
     sizes: Vec<usize>,
@@ -313,6 +330,7 @@ impl Mlp {
             for (b, &g) in layer.b.iter_mut().zip(db) {
                 *b += g;
             }
+            layer.pack();
         }
     }
 
@@ -334,6 +352,7 @@ impl Mlp {
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {
             a.w = b.w.clone();
             a.b = b.b.clone();
+            a.pack();
         }
     }
 
@@ -347,6 +366,7 @@ impl Mlp {
             for (bv, &b2) in a.b.iter_mut().zip(&b.b) {
                 *bv = (1.0 - tau) * *bv + tau * b2;
             }
+            a.pack();
         }
     }
 
@@ -398,6 +418,7 @@ impl Mlp {
             }
             layer.w = w.clone();
             layer.b = b.clone();
+            layer.pack();
         }
         Ok(())
     }
@@ -439,8 +460,10 @@ mod tests {
             for pi in [0, n / 2, n - 1] {
                 let mut plus = net.clone();
                 plus.layers[li].w.data_mut()[pi] += eps;
+                plus.layers[li].pack();
                 let mut minus = net.clone();
                 minus.layers[li].w.data_mut()[pi] -= eps;
+                minus.layers[li].pack();
                 let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
                 let analytic = grads.layers[li].0.data()[pi];
                 assert!(
@@ -476,8 +499,10 @@ mod tests {
         let analytic = grads.layers[0].0.data()[0];
         let mut plus = net.clone();
         plus.layers[0].w.data_mut()[0] += eps;
+        plus.layers[0].pack();
         let mut minus = net.clone();
         minus.layers[0].w.data_mut()[0] -= eps;
+        minus.layers[0].pack();
         let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
         assert!(
             (numeric - analytic).abs() < 1e-5,
@@ -531,6 +556,85 @@ mod tests {
             let _ = net.forward_scratch(&x, &mut ws);
         }
         assert_eq!(ws.high_water_bytes(), bytes, "buffers must not regrow");
+    }
+
+    /// The forward pass computed from `export_params` alone, with the
+    /// naive loop: what `forward_scratch` must match after any weight change.
+    fn reference_forward(net: &Mlp, x: &Matrix, hidden: Activation) -> Matrix {
+        let params = net.export_params();
+        let mut h = x.clone();
+        for (l, (w, b)) in params.iter().enumerate() {
+            let act = if l + 1 == params.len() {
+                Activation::Linear
+            } else {
+                hidden
+            };
+            let mut out = Matrix::zeros(h.rows(), w.rows());
+            for i in 0..h.rows() {
+                for (j, &bias) in b.iter().enumerate() {
+                    let mut acc = 0.0;
+                    for k in 0..w.cols() {
+                        acc += h.get(i, k) * w.get(j, k);
+                    }
+                    out.set(i, j, act.apply(acc + bias));
+                }
+            }
+            h = out;
+        }
+        h
+    }
+
+    #[test]
+    fn every_weight_mutator_repacks() {
+        // The forward kernel reads a packed copy of each weight matrix; a
+        // mutator that forgot to rebuild it would leave the old weights in
+        // force. Each step below changes every weight, and the forward pass
+        // must then equal the naive loop over the new parameters.
+        let sizes = [5, 16, 9, 3];
+        let hidden = Activation::Tanh;
+        let x = Matrix::from_vec(6, 5, (0..30).map(|i| (i as f64) * 0.13 - 1.7).collect());
+        let mut ws = MlpWorkspace::new();
+        let mut net = Mlp::new(&sizes, hidden, Activation::Linear, 3);
+        let mut check = |net: &Mlp, step: &str, before: &mut Matrix| {
+            let expected = reference_forward(net, &x, hidden);
+            assert_ne!(&expected, before, "{step} must change the output");
+            assert_eq!(net.forward_scratch(&x, &mut ws), &expected, "{step}");
+            assert_eq!(net.forward(&x), expected, "{step}");
+            *before = expected;
+        };
+        let mut before = Matrix::default();
+        check(&net, "new", &mut before);
+
+        let y = net.forward_train(&x);
+        let mut grads = net.backward(&y);
+        for (dw, db) in &mut grads.layers {
+            dw.scale_inplace(-0.1);
+            for v in db {
+                *v *= -0.1;
+            }
+        }
+        net.apply_updates(&grads);
+        check(&net, "apply_updates", &mut before);
+
+        let other = Mlp::new(&sizes, hidden, Activation::Linear, 4);
+        net.soft_update_from(&other, 0.5);
+        check(&net, "soft_update_from", &mut before);
+
+        net.copy_params_from(&other);
+        check(&net, "copy_params_from", &mut before);
+
+        let mut params = net.export_params();
+        for (w, _) in &mut params {
+            w.scale_inplace(0.5);
+        }
+        net.import_params(&params).unwrap();
+        check(&net, "import_params", &mut before);
+
+        let mut saved = Vec::new();
+        let fresh = Mlp::new(&sizes, hidden, Activation::Linear, 5);
+        crate::save_mlp(&fresh, hidden, Activation::Linear, &mut saved).unwrap();
+        let loaded = crate::load_mlp(&mut saved.as_slice()).unwrap();
+        check(&loaded, "load_mlp", &mut before);
     }
 
     #[test]

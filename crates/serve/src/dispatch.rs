@@ -19,7 +19,7 @@
 use crate::degrade::ServiceLevel;
 use crate::proto::parse_event;
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy, OraclePolicy};
-use fairmove_faults::{FaultPlan, FaultSpec};
+use fairmove_faults::{FaultPlan, FaultSpec, SlotWindow};
 use fairmove_sim::{
     config_fingerprint, Action, DisplacementPolicy, Environment, ResilientPolicy, SimConfig,
     StayPolicy,
@@ -28,12 +28,15 @@ use fairmove_sim::{
 const MAGIC: &[u8; 8] = b"FMSRVCK1";
 const VERSION: u32 = 1;
 
-/// Largest demand multiplier one `EVENT surge` may carry. Randomized fault
+/// Largest demand multiplier one `EVENT surge` may carry, alone or stacked:
+/// overlapping surges on one region multiply, so the product of the
+/// accepted ones must stay within it at every slot too. Randomized fault
 /// plans draw surge factors from 0.5–3.0, so 10 leaves room for hand-written
 /// events. The bound exists because the environment materializes every
-/// Poisson-drawn trip: an unbounded factor (`1e12`) saturated the count at
-/// `u32::MAX` and the next `STEP` aborted on a 10 GiB allocation, and as the
-/// event is journaled before it runs, warm restart replayed the same abort.
+/// Poisson-drawn trip: an unbounded factor (`1e12`, or thirteen stacked
+/// `10`s) saturated the count at `u32::MAX` and the next `STEP` aborted on a
+/// 10 GiB allocation, and as the event is journaled before it runs, warm
+/// restart replayed the same abort.
 const MAX_SURGE_FACTOR: f64 = 10.0;
 
 /// FNV-1a 64-bit, the digest clients use to compare two servers' states.
@@ -209,8 +212,10 @@ impl DispatchCore {
         }
     }
 
-    /// Rejects fault specs whose ids don't exist in this world, and surge
-    /// factors that are non-finite, negative, or above [`MAX_SURGE_FACTOR`].
+    /// Rejects fault specs whose ids don't exist in this world, surge
+    /// factors that are non-finite, negative, or above [`MAX_SURGE_FACTOR`],
+    /// and surges that would lift the product of the surges on their region
+    /// above it at any slot of their window.
     /// A malformed client must get an `ERR 400` back, not crash the worker
     /// slots later when the environment indexes the phantom
     /// station/region/taxi or draws an unbounded trip count.
@@ -244,8 +249,65 @@ impl DispatchCore {
                     "surge factor {factor} out of range (must be in [0, {MAX_SURGE_FACTOR}])"
                 ))
             }
+            FaultSpec::DemandSurge {
+                region,
+                factor,
+                window,
+            } => {
+                let combined = self.peak_surge(region, window) * factor;
+                if combined > MAX_SURGE_FACTOR {
+                    Err(format!(
+                        "surge factor {factor} stacks to {combined} on region {region} \
+                         (combined factors must stay within {MAX_SURGE_FACTOR})"
+                    ))
+                } else {
+                    Ok(())
+                }
+            }
             _ => Ok(()),
         }
+    }
+
+    /// The largest product of accepted surge factors on `region` at any slot
+    /// of `window`: the demand multiplier `FaultSet` would already apply
+    /// there before a new surge joins. The product only changes where a
+    /// surge starts or ends (a factor below 1 ending raises it), so the
+    /// window's first slot and every surge start and end inside it are the
+    /// slots to check. An empty window is never active: 0.
+    fn peak_surge(&self, region: u16, window: SlotWindow) -> f64 {
+        let surges: Vec<(SlotWindow, f64)> = self
+            .accepted_specs()
+            .filter_map(|spec| match spec {
+                FaultSpec::DemandSurge {
+                    region: r,
+                    factor,
+                    window: w,
+                } if r == region && w.start < window.end && window.start < w.end => {
+                    Some((w, factor))
+                }
+                _ => None,
+            })
+            .collect();
+        let edges = surges.iter().flat_map(|(w, _)| [w.start, w.end]);
+        std::iter::once(window.start)
+            .chain(edges)
+            .filter(|&slot| window.contains(slot))
+            .map(|slot| {
+                surges
+                    .iter()
+                    .filter(|(w, _)| w.contains(slot))
+                    .map(|&(_, f)| f)
+                    .product::<f64>()
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// The accepted events, parsed back from their canonical texts.
+    fn accepted_specs(&self) -> impl Iterator<Item = FaultSpec> + '_ {
+        self.events.iter().filter_map(|text| {
+            let args: Vec<&str> = text.split_whitespace().collect();
+            parse_event(&args).ok().map(|(spec, _)| spec)
+        })
     }
 
     fn inject(&mut self, spec: FaultSpec, text: String) {
@@ -259,11 +321,8 @@ impl DispatchCore {
     /// currently-active fault effects live inside the environment image.
     fn reattach_plan(&mut self) {
         let mut plan = FaultPlan::new(self.config.seed ^ 0x5345_5256); // "SERV"
-        for text in &self.events {
-            let args: Vec<&str> = text.split_whitespace().collect();
-            if let Ok((spec, _)) = parse_event(&args) {
-                plan.push(spec);
-            }
+        for spec in self.accepted_specs() {
+            plan.push(spec);
         }
         self.env.set_fault_plan(plan);
     }
@@ -534,6 +593,55 @@ mod tests {
         for _ in 0..4 {
             core.apply_payload("STEP F").unwrap();
         }
+    }
+
+    #[test]
+    fn stacked_surges_are_bounded_by_their_product() {
+        // Overlapping surges on one region multiply in `FaultSet`, so each
+        // one within the per-event bound could still stack past it (13 ×
+        // `surge 0 10 0 5` asked for 1e13). The check runs on the live path
+        // and on replay from a checkpoint alike.
+        // A factor below 1 raises the product where it ends, so the rows on
+        // regions 2 and 3 are only refused if those end slots are checked.
+        let script: [(&str, Option<&str>); 15] = [
+            ("EVENT surge 0 10 0 5", None),
+            ("EVENT surge 0 2 3 8", Some("stacks to 20 on region 0")),
+            ("EVENT surge 0 10 0 5", Some("stacks to 100 on region 0")),
+            ("EVENT surge 0 2 6 8", None),
+            ("EVENT surge 0 5 7 9", None),
+            ("EVENT surge 0 1.5 4 7", Some("stacks to 15 on region 0")),
+            ("EVENT surge 1 10 0 5", None),
+            ("EVENT surge 0 0.5 0 0", None),
+            ("EVENT surge 2 0 0 1", None),
+            ("EVENT surge 2 10 0 5", None),
+            ("EVENT surge 2 10 0 5", Some("stacks to 100 on region 2")),
+            ("EVENT surge 3 0.1 0 2", None),
+            ("EVENT surge 3 10 0 4", None),
+            ("EVENT surge 3 2 1 3", Some("stacks to 20 on region 3")),
+            ("STEP F", None),
+        ];
+        let mut straight = DispatchCore::new(config(), 0.6);
+        let mut first = DispatchCore::new(config(), 0.6);
+        for (payload, _) in &script[..3] {
+            let _ = first.apply_payload(payload);
+        }
+        let mut revived = DispatchCore::from_checkpoint(config(), &first.checkpoint()).unwrap();
+        for (i, (payload, refusal)) in script.iter().enumerate() {
+            let live = straight.apply_payload(payload);
+            match refusal {
+                Some(needle) => {
+                    let err = live.as_ref().err().expect(payload);
+                    assert!(err.contains(needle), "{payload}: {err}");
+                }
+                None => assert!(live.is_ok(), "{payload}: {live:?}"),
+            }
+            if i >= 3 {
+                let replayed = revived.apply_payload(payload);
+                assert_eq!(live.is_err(), replayed.is_err(), "{payload}");
+            }
+        }
+        assert_eq!(straight.applied_seq(), revived.applied_seq());
+        assert_eq!(straight.digest(), revived.digest());
     }
 
     #[test]
