@@ -20,10 +20,17 @@
 //!
 //! Training is centralized, execution decentralized: at run time each taxi
 //! only needs its own context and the shared broadcast observation.
+//!
+//! Execution runs through the dispatcher both engines share
+//! (`crate::dispatch`): the slot's vacant taxis are decided one after
+//! another, each against the broadcast observation plus the assignments
+//! made before it, with one actor forward over that taxi's candidates and
+//! one sample from π. Learning records each commit's candidate rows
+//! through the dispatcher's per-commit hook.
 
+use crate::dispatch::Dispatcher;
 use crate::features::{SA_DIM, STATE_DIM};
 use crate::transition::TransitionTracker;
-use crate::wave::WaveDispatcher;
 use fairmove_rl::loss::{policy_gradient_logits, softmax};
 use fairmove_rl::{Activation, Adam, Matrix, Mlp, Optimizer, ReplayBuffer};
 use fairmove_sim::{
@@ -97,13 +104,6 @@ pub struct Cma2cConfig {
     /// charge actions are admissible; the prior encodes "charging is the
     /// exception" while remaining fully overridable by the learned logits.
     pub charge_logit_prior: f64,
-    /// Maximum number of queued decisions in one dispatch wave (one
-    /// feature-cache refresh, scored lazily in stacked chunks). Commits
-    /// still apply sequentially, and any decision whose features were
-    /// touched by an earlier commit in the same wave is re-scored in the
-    /// next wave, so results are bit-identical to `max_wave: 1` (the fully
-    /// serial dispatcher, kept as the tests' reference).
-    pub max_wave: usize,
     /// RNG seed.
     pub seed: u64,
     /// Ablation: zero out the global-view state features (the taxi sees
@@ -133,7 +133,6 @@ impl Default for Cma2cConfig {
             entropy_coef: 0.01,
             train_iters: 6,
             charge_logit_prior: 2.5,
-            max_wave: 1_024,
             seed: 31,
             ablate_global_view: false,
             ablate_fairness_features: false,
@@ -163,7 +162,7 @@ struct Transition {
 /// The FairMove CMA2C policy.
 pub struct Cma2cPolicy {
     config: Cma2cConfig,
-    dispatcher: WaveDispatcher,
+    dispatcher: Dispatcher,
     actor: Mlp,
     critic: Mlp,
     target_critic: Mlp,
@@ -243,7 +242,7 @@ impl Cma2cPolicy {
         );
         target_critic.copy_params_from(&critic);
         Cma2cPolicy {
-            dispatcher: WaveDispatcher::new(city, &config),
+            dispatcher: Dispatcher::new(city, &config),
             actor,
             critic,
             target_critic,
@@ -463,9 +462,8 @@ impl DisplacementPolicy for Cma2cPolicy {
         // The dispatcher is centralized: it knows the assignments it has
         // already made this slot, so later taxis see station inbound counts
         // and regional supply updated by earlier assignments. Without this,
-        // every co-located taxi would see the same stale snapshot and herd.
-        // The wave dispatcher keeps that sequential semantics while scoring
-        // in stacked forwards (see [`crate::wave`]).
+        // every co-located taxi would see the same stale snapshot and herd
+        // (see [`crate::dispatch`]).
         let learning = self.learning;
         let (tracker, buffer) = (&mut self.tracker, &mut self.buffer);
         self.dispatcher.dispatch(
@@ -736,70 +734,6 @@ mod tests {
         }
         // Time features survive.
         assert_ne!(state[1], 0.0);
-    }
-
-    fn ctx_in(city: &City, taxi: u32, region: usize) -> DecisionContext {
-        let region = RegionId(region as u16);
-        DecisionContext {
-            taxi: TaxiId(taxi),
-            region,
-            soc: 0.7,
-            must_charge: false,
-            pe_standing: 40.0,
-            actions: ActionSet::full(
-                &city.region(region).neighbors,
-                city.nearest_stations().nearest(region),
-            ),
-        }
-    }
-
-    #[test]
-    fn batched_dispatch_matches_serial_dispatch() {
-        // `max_wave: 1` is the pre-batching dispatcher (featurize, score,
-        // commit one taxi at a time). The default wave-batched dispatcher
-        // must be indistinguishable from it: same actions, same RNG
-        // consumption, and — because identical transitions enter the buffer
-        // in identical order — identical learned parameters.
-        let city = small_city();
-        let train_cfg = Cma2cConfig {
-            min_buffer: 16,
-            batch_size: 16,
-            train_iters: 2,
-            ..Cma2cConfig::default()
-        };
-        let mut serial = Cma2cPolicy::new(
-            &city,
-            Cma2cConfig {
-                max_wave: 1,
-                ..train_cfg.clone()
-            },
-        );
-        let mut batched = Cma2cPolicy::new(&city, train_cfg);
-        let n_regions = city.n_regions();
-        let mut o = obs(&city);
-        for step in 0..40 {
-            // Mix herding (several taxis sharing a region) with spread-out
-            // taxis, and vary the observation so waves break mid-stream.
-            o.waiting_per_region[step % n_regions] = (step % 3) as u32;
-            o.price_now = if step % 4 == 0 { 0.9 } else { 1.2 };
-            let cs: Vec<DecisionContext> = (0..12)
-                .map(|i| ctx_in(&city, i, (i as usize % 4) * 3 % n_regions))
-                .collect();
-            let a = serial.decide(&o, &cs);
-            let b = batched.decide(&o, &cs);
-            assert_eq!(a, b, "actions diverged at step {step}");
-            serial.observe(&feedback(12, 1.5));
-            batched.observe(&feedback(12, 1.5));
-        }
-        assert!(serial.train_steps() > 0, "training never started");
-        assert_eq!(serial.train_steps(), batched.train_steps());
-        let c = ctx(&city, 0);
-        let state = serial.dispatcher.fx().state(&obs(&city), &c);
-        assert_eq!(
-            serial.value(&state),
-            batched.value(&state),
-            "learned critics diverged"
-        );
     }
 
     #[test]

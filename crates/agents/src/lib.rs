@@ -28,6 +28,7 @@
 //! in `fairmove-core`.
 
 pub mod cma2c;
+mod dispatch;
 pub mod dqn;
 pub mod features;
 pub mod gt;
@@ -37,7 +38,6 @@ pub mod shard;
 pub mod tba;
 pub mod tql;
 pub mod transition;
-mod wave;
 
 pub use cma2c::{Cma2cConfig, Cma2cPolicy};
 pub use dqn::{DqnConfig, DqnPolicy};

@@ -2,12 +2,14 @@
 //!
 //! [`Cma2cShardPolicy`] adapts the paper's actor to the sharded engine's
 //! [`ShardPolicy`] contract. Each `decide_region` call hands one region's
-//! contexts to the same wave dispatcher the minute engine's
-//! [`Cma2cPolicy`](crate::cma2c::Cma2cPolicy) runs (`crate::wave`): lazily
-//! chunked scoring against the *previous slot's* frozen global observation,
-//! one sample from π per context drawn from the region's own RNG stream at
-//! commit time, and `max_wave: 1` as the serial reference. Only the
-//! context slice differs from the minute engine:
+//! contexts to the same dispatcher the minute engine's
+//! [`Cma2cPolicy`](crate::cma2c::Cma2cPolicy) runs (`crate::dispatch`): each
+//! context scored when the commit loop reaches it, against the *previous
+//! slot's* frozen global observation plus the region's earlier commits
+//! (a feature cache updated per commit), one sample from π per context
+//! drawn from the region's own RNG stream, and a naive serial reference
+//! in the testkit oracle. Only the context slice differs from the minute
+//! engine:
 //!
 //! * the minute engine's centralized dispatcher threads one working view
 //!   through *every* region's decisions in a slot, so a commit in region 3
@@ -33,7 +35,7 @@
 //! [`Cma2cPolicy`]: crate::cma2c::Cma2cPolicy
 
 use crate::cma2c::{new_actor, Cma2cConfig};
-use crate::wave::WaveDispatcher;
+use crate::dispatch::Dispatcher;
 use fairmove_city::{City, RegionId};
 use fairmove_rl::Mlp;
 use fairmove_sim::{Action, DecisionContext, ShardPolicy, SlotObservation};
@@ -42,7 +44,7 @@ use rand::rngs::StdRng;
 /// Frozen CMA2C actor callable from sharded slot steps.
 pub struct Cma2cShardPolicy {
     actor: Mlp,
-    dispatcher: WaveDispatcher,
+    dispatcher: Dispatcher,
 }
 
 impl Cma2cShardPolicy {
@@ -53,7 +55,7 @@ impl Cma2cShardPolicy {
     pub fn new(city: &City, config: &Cma2cConfig) -> Self {
         Cma2cShardPolicy {
             actor: new_actor(config),
-            dispatcher: WaveDispatcher::new(city, config),
+            dispatcher: Dispatcher::new(city, config),
         }
     }
 

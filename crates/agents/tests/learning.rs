@@ -26,7 +26,7 @@ fn run_episode(policy: &mut dyn DisplacementPolicy, sim: &SimConfig, seed: u64) 
             reward_sum += fb.reward(0.6, fairmove_sim::TaxiId(i as u32));
             count += 1;
         }
-        policy.observe(&fb);
+        policy.observe(fb);
     }
     reward_sum / count.max(1) as f64
 }

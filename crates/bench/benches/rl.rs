@@ -52,8 +52,8 @@ fn bench_rl(c: &mut Criterion) {
         });
     });
 
-    // The frozen CMA2C actor (24 → 64 → 64 → 1) at the row counts the wave
-    // dispatcher scores per chunk, through the allocation-free path it uses.
+    // The frozen CMA2C actor (24 → 64 → 64 → 1) at stacked row counts,
+    // through the allocation-free path.
     for rows in [27, 108, 430] {
         group.bench_function(format!("actor_forward_scratch_{rows}"), |b| {
             let net = Mlp::new(&[24, 64, 64, 1], Activation::Relu, Activation::Linear, 7);
@@ -66,6 +66,21 @@ fn bench_rl(c: &mut Criterion) {
             b.iter(|| net.forward_scratch(&x, &mut ws).data()[0]);
         });
     }
+
+    // One decision's ~10 candidate rows sharing a 14-column state prefix:
+    // the forward the CMA2C dispatcher runs per decision.
+    group.bench_function("actor_forward_prefixed_10", |b| {
+        let net = Mlp::new(&[24, 64, 64, 1], Activation::Relu, Activation::Linear, 7);
+        let x = Matrix::from_vec(
+            10,
+            24,
+            (0..10 * 24)
+                .map(|i| if i % 24 < 14 { i % 24 } else { i } as f64 / 240.0)
+                .collect(),
+        );
+        let mut ws = MlpWorkspace::new();
+        b.iter(|| net.forward_prefixed(&x, 14, &mut ws).data()[0]);
+    });
 
     group.finish();
 }

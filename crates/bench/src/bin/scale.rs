@@ -17,8 +17,8 @@
 //! - `--paper`: run the paper preset on the region-sharded engine (the full
 //!   20,130-taxi deployment over one day; `--smoke` shrinks the window).
 //! - `--policy greedy|cma2c`: which slot-granularity policy drives the
-//!   `--paper` run (default `greedy`; `cma2c` is the frozen wave-batched
-//!   actor on the sharded engine).
+//!   `--paper` run (default `greedy`; `cma2c` is the frozen actor on the
+//!   sharded engine).
 //! - `--check-baseline [path]`: after writing the report, compare it against
 //!   the checked-in baseline (default
 //!   `crates/bench/baselines/BENCH_scale_baseline.json`): every report row
@@ -31,7 +31,7 @@
 //! before anything runs.
 //!
 //! Policies: `stay` (environment-dominated floor) and `cma2c-frozen` (the
-//! deployed inference path: wave-batched actor forward passes, no learning).
+//! deployed inference path: one actor forward per decision, no learning).
 //! The throughput-regression test in `crates/bench/tests/` compares the
 //! default-scale `cma2c-frozen` row against the checked-in baseline.
 

@@ -5,7 +5,7 @@
 //! tracing off, then tracing on (with the sampling profiler attached) — and
 //! reports the per-slot cost of the span layer. Then it clears the rings,
 //! steps one more traced slot, and dumps that slot's complete span tree
-//! (`step_slot → observe → decide → wave → matmul`, plus `commit`) as
+//! (`step_slot → observe → decide → dispatch`, plus `commit`) as
 //! Chrome trace-event JSON.
 //!
 //! Outputs (all into the working directory unless `--out` moves the

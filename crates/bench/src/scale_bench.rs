@@ -217,8 +217,8 @@ pub const PAPER_FULL_WINDOW: (usize, usize, usize) = (12, 3, 44);
 pub enum ShardBenchPolicy {
     /// Deficit-greedy dispatch (environment-dominated throughput).
     Greedy,
-    /// Frozen CMA2C actor, wave-batched per region (the deployed
-    /// inference path on the sharded engine).
+    /// Frozen CMA2C actor, dispatched per region (the deployed inference
+    /// path on the sharded engine).
     Cma2c,
 }
 

@@ -7,7 +7,7 @@
 //! `cargo test -p fairmove-bench -- --ignored`. The 20% tolerance absorbs
 //! ordinary run-to-run noise (observed ~6% between back-to-back runs on a
 //! quiet box) while still catching the failure this test exists for: a
-//! change that silently re-serializes the wave dispatcher or puts
+//! change that silently re-serializes the actor forward or puts
 //! per-decision allocations back on the hot path costs far more than 20%.
 
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy};

@@ -10,11 +10,12 @@
 //! generator emits, and fault-plan/no-plan runs.
 //!
 //! The `repro_batched_inference_*` pins below guard a different oracle:
-//! `batched-vs-serial-inference`, added with the wave-batched CMA2C
-//! dispatcher. Each fixes a scenario shape that stressed the batching
-//! machinery during bring-up (same-region wave collisions, command-loss RNG
-//! interleaving, stale-observation featurization) and must stay
-//! bit-identical to the serial dispatcher forever.
+//! `batched-vs-serial-inference`, which compares the CMA2C dispatcher with
+//! a naive serial reference. Each fixes a scenario shape that stressed the
+//! dispatcher's shortcuts (same-region commit collisions, which the
+//! per-commit feature-cache update must track; command-loss RNG
+//! interleaving; stale-observation featurization) and must stay
+//! bit-identical to the serial reference forever.
 //!
 //! To harvest new pins after the driver finds a real bug, paste the
 //! `Failure::repro()` output here (or the `repro_*.rs` artifact from
@@ -144,11 +145,11 @@ fn repro_invariant_audit_seed_f4773ad8901060df() {
 }
 
 /// Pinned for oracle `batched-vs-serial-inference`: a herded fleet (many
-/// taxis, few regions) maximizes same-region decision collisions inside one
-/// wave, the case where a commit dirties the features of every later
-/// candidate. During bring-up of the wave-batched dispatcher, stale-feature
-/// reuse in exactly this shape diverged from the serial path at the first
-/// multi-taxi wave.
+/// taxis, few regions) maximizes same-region decision collisions, the case
+/// where a commit changes the features of every later candidate. During
+/// bring-up of the earlier wave-batched dispatcher, stale-feature reuse in
+/// exactly this shape diverged from the serial path; the per-commit cache
+/// update must track it.
 #[test]
 fn repro_batched_inference_herded_fleet_seed_5ecb91d104a77e20() {
     let scenario = Scenario {

@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let xs: Vec<f64> = (0..50).map(|i| f64::from(i)).collect();
+        let xs: Vec<f64> = (0..50).map(f64::from).collect();
         let a = bootstrap_mean_ci(&xs, 0.9, 300, 42);
         let b = bootstrap_mean_ci(&xs, 0.9, 300, 42);
         assert_eq!(a, b);

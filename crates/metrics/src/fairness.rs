@@ -123,7 +123,7 @@ mod tests {
         #[test]
         fn jain_in_unit_interval(xs in proptest::collection::vec(0.0..1e4f64, 1..50)) {
             let j = jain_index(&xs);
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&j), "jain {j}");
+            prop_assert!((0.0..=1.0 + 1e-12).contains(&j), "jain {}", j);
         }
 
         #[test]
@@ -136,7 +136,7 @@ mod tests {
         #[test]
         fn gini_in_unit_interval(xs in proptest::collection::vec(0.0..1e4f64, 2..50)) {
             let g = gini(&xs);
-            prop_assert!((0.0..=1.0).contains(&g), "gini {g}");
+            prop_assert!((0.0..=1.0).contains(&g), "gini {}", g);
         }
 
         #[test]

@@ -108,10 +108,31 @@ fn avx2_detected() -> bool {
     }
 }
 
+/// Where every output chain of one dense-layer call starts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ChainStart<'a> {
+    /// `+0.0` before column 0: the plain layer.
+    Zero,
+    /// The partial sums `acc` (one per output column, shared by every row)
+    /// of columns `< k0`: each chain continues from `acc` at column `k0`.
+    Resume { k0: usize, acc: &'a [f64] },
+}
+
+/// The operands of one dense layer as the kernel reads them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DenseLayer<'a> {
+    /// `Wᵀ` (`in × out`, k-major).
+    pub(crate) w_packed: &'a Matrix,
+    /// One bias per output column.
+    pub(crate) bias: &'a [f64],
+    /// Applied to each output element on store.
+    pub(crate) act: Activation,
+}
+
 /// `out = act(x · wt + bias)` over whole rows, through the `build` chosen
-/// (see [`KernelBuild`]). `x` is `rows × k` and `out` is `rows × n`, both
-/// row-major; `wt` is the `k × n` k-major packed weight and `bias` has `n`
-/// entries.
+/// (see [`KernelBuild`]), with every chain starting at `start`. `x` is
+/// `rows × k` and `out` is `rows × n`, both row-major; `wt` is the `k × n`
+/// k-major packed weight and `bias` has `n` entries.
 #[allow(unsafe_code)]
 fn dense_rows(
     build: KernelBuild,
@@ -119,18 +140,19 @@ fn dense_rows(
     wt: &[f64],
     bias: &[f64],
     act: Activation,
+    start: ChainStart<'_>,
     out: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
     if build == KernelBuild::Avx2 && avx2_detected() {
         // SAFETY: `dense_rows_avx2` requires only that the CPU supports
         // AVX2, which `avx2_detected` has just confirmed at runtime.
-        unsafe { dense_rows_avx2(x, wt, bias, act, out) };
+        unsafe { dense_rows_avx2(x, wt, bias, act, start, out) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = build; // only x86-64 has a second build
-    dense_rows_body(x, wt, bias, act, out);
+    dense_rows_body(x, wt, bias, act, start, out);
 }
 
 /// [`dense_rows_body`] compiled with AVX2 enabled: two 4-lane vectors per
@@ -140,16 +162,53 @@ fn dense_rows(
 /// checked that the running CPU supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn dense_rows_avx2(x: &[f64], wt: &[f64], bias: &[f64], act: Activation, out: &mut [f64]) {
-    dense_rows_body(x, wt, bias, act, out);
+fn dense_rows_avx2(
+    x: &[f64],
+    wt: &[f64],
+    bias: &[f64],
+    act: Activation,
+    start: ChainStart<'_>,
+    out: &mut [f64],
+) {
+    dense_rows_body(x, wt, bias, act, start, out);
 }
 
-/// The dense-layer kernel body: [`ROW_TILE`]-row tiles, then single rows
-/// for the remainder. Each output row depends only on its own input row, so
-/// how rows are grouped into tiles (or chunks across threads) never changes
-/// a bit of the result.
+/// The dense-layer kernel body, compiled once per kind of chain start. The
+/// plain layer's copy has no start to read, so its code is the start-free
+/// loop that the two builds are checked to agree on bit for bit, NaN
+/// payloads included: when both addends of a chain step are NaN, x86
+/// returns the first operand's, so which NaN survives depends on how the
+/// compiler orders each add.
 #[inline(always)]
-fn dense_rows_body(x: &[f64], wt: &[f64], bias: &[f64], act: Activation, out: &mut [f64]) {
+fn dense_rows_body(
+    x: &[f64],
+    wt: &[f64],
+    bias: &[f64],
+    act: Activation,
+    start: ChainStart<'_>,
+    out: &mut [f64],
+) {
+    match start {
+        ChainStart::Zero => dense_row_tiles::<false>(x, wt, bias, act, start, out),
+        ChainStart::Resume { .. } => dense_row_tiles::<true>(x, wt, bias, act, start, out),
+    }
+}
+
+/// [`ROW_TILE`]-row tiles, then one 3-, 2- or 1-row tile for the
+/// remainder. Each output row depends only on its own input row, so how
+/// rows are grouped into tiles (or chunks across threads) never changes a
+/// bit of the result. `RESUME` says whether `start` is
+/// [`ChainStart::Resume`].
+#[inline(always)]
+fn dense_row_tiles<const RESUME: bool>(
+    x: &[f64],
+    wt: &[f64],
+    bias: &[f64],
+    act: Activation,
+    start: ChainStart<'_>,
+    out: &mut [f64],
+) {
+    const _: () = assert!(ROW_TILE == 4, "the remainder match covers 1..=3 rows");
     let n = bias.len();
     let k = wt.len() / n;
     let rows = out.len() / n;
@@ -157,10 +216,14 @@ fn dense_rows_body(x: &[f64], wt: &[f64], bias: &[f64], act: Activation, out: &m
     let (out_tiled, out_rest) = out.split_at_mut(tiled * n);
     for (t, out_tile) in out_tiled.chunks_exact_mut(ROW_TILE * n).enumerate() {
         let x_tile = &x[t * ROW_TILE * k..(t + 1) * ROW_TILE * k];
-        dense_tile::<ROW_TILE>(x_tile, wt, bias, act, out_tile);
+        dense_tile::<ROW_TILE, RESUME>(x_tile, wt, bias, act, start, out_tile);
     }
-    for (r, out_row) in (tiled..rows).zip(out_rest.chunks_exact_mut(n)) {
-        dense_tile::<1>(&x[r * k..(r + 1) * k], wt, bias, act, out_row);
+    let x_rest = &x[tiled * k..rows * k];
+    match rows - tiled {
+        0 => {}
+        1 => dense_tile::<1, RESUME>(x_rest, wt, bias, act, start, out_rest),
+        2 => dense_tile::<2, RESUME>(x_rest, wt, bias, act, start, out_rest),
+        _ => dense_tile::<3, RESUME>(x_rest, wt, bias, act, start, out_rest),
     }
 }
 
@@ -172,25 +235,42 @@ fn dense_rows_body(x: &[f64], wt: &[f64], bias: &[f64], act: Activation, out: &m
 /// the naive `x · Wᵀ`, then `+ b`, then `act`. Remainder columns
 /// (`n % 8`) run one column at a time with `R` independent chains.
 ///
+/// With [`ChainStart::Resume`] the chain is picked up at column `k0` from
+/// the given partial sums, which must be that chain's own value after
+/// columns `< k0` (rows that share those columns share the value), so the
+/// result is the same bits as a chain run from `+0.0`.
+///
 /// No addend is skipped: on finite inputs a `±0.0` addend never changes a
 /// chain that started at `+0.0`, so skipping zero activations would save
 /// work without changing bits, but it would also turn `0 · NaN` into `0`.
 #[inline(always)]
-fn dense_tile<const R: usize>(
+fn dense_tile<const R: usize, const RESUME: bool>(
     x: &[f64],
     wt: &[f64],
     bias: &[f64],
     act: Activation,
+    start: ChainStart<'_>,
     out: &mut [f64],
 ) {
     let n = bias.len();
     let k_len = x.len() / R;
     let xs: [&[f64]; R] = std::array::from_fn(|i| &x[i * k_len..(i + 1) * k_len]);
     let wt = &wt[..k_len * n];
+    let (k0, init): (usize, &[f64]) = match start {
+        ChainStart::Resume { k0, acc } if RESUME => (k0, acc),
+        _ => (0, &[]),
+    };
     let mut j = 0;
     while j + VEC_LANES <= n {
-        let mut acc = [[0.0f64; VEC_LANES]; R];
-        for k in 0..k_len {
+        let acc0: [f64; VEC_LANES] = if RESUME {
+            init[j..j + VEC_LANES]
+                .try_into()
+                .expect("a full column tile")
+        } else {
+            [0.0; VEC_LANES]
+        };
+        let mut acc = [acc0; R];
+        for k in k0..k_len {
             let w: &[f64; VEC_LANES] = wt[k * n + j..k * n + j + VEC_LANES]
                 .try_into()
                 .expect("a full column tile");
@@ -209,8 +289,8 @@ fn dense_tile<const R: usize>(
         j += VEC_LANES;
     }
     for j in j..n {
-        let mut acc = [0.0f64; R];
-        for k in 0..k_len {
+        let mut acc = [if RESUME { init[j] } else { 0.0 }; R];
+        for k in k0..k_len {
             let wv = wt[k * n + j];
             for i in 0..R {
                 acc[i] += xs[i][k] * wv;
@@ -399,40 +479,102 @@ impl Matrix {
         );
     }
 
-    /// One dense layer, `out = act(self · Wᵀ + bias)`, with `w_packed`
-    /// holding `Wᵀ` (`in × out`, k-major) so the kernel reads contiguous
-    /// weight rows. Fans rows across threads above [`PAR_MIN_FLOPS`] and
-    /// runs the AVX2 build when the CPU has it; neither choice changes a
-    /// bit of `out`, which is resized in place (no allocation once it has
-    /// reached its high-water capacity).
+    /// One dense layer, `out = act(self · Wᵀ + bias)`, with the layer's
+    /// `w_packed` holding `Wᵀ` (`in × out`, k-major) so the kernel reads
+    /// contiguous weight rows. Fans rows across threads above
+    /// [`PAR_MIN_FLOPS`] and runs the AVX2 build when the CPU has it;
+    /// neither choice changes a bit of `out`, which is resized in place (no
+    /// allocation once it has reached its high-water capacity).
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub(crate) fn dense_into(
-        &self,
-        w_packed: &Matrix,
-        bias: &[f64],
-        act: Activation,
-        out: &mut Matrix,
-    ) {
-        let threads = auto_threads(self.rows * self.cols * w_packed.cols);
-        self.dense_threads_into(w_packed, bias, act, threads, KernelBuild::Avx2, out);
+    pub(crate) fn dense_into(&self, layer: DenseLayer<'_>, out: &mut Matrix) {
+        let threads = auto_threads(self.rows * self.cols * layer.w_packed.cols);
+        self.dense_threads_into(layer, ChainStart::Zero, threads, KernelBuild::Avx2, out);
     }
 
-    /// [`Self::dense_into`] with an explicit worker count and build.
-    ///
-    /// Each output row is owned by exactly one thread, and no row's result
-    /// depends on which other rows share its tile, so the result is
-    /// bit-identical for every `threads` value and both builds.
-    pub(crate) fn dense_threads_into(
+    /// [`Self::dense_into`] for rows that all share their first `p` columns
+    /// (debug builds check it), bitwise equal to it. The kernel runs once
+    /// on row 0's first `p` columns with a zero bias and no activation,
+    /// which yields each output column's chain after `k < p`: a chain from
+    /// `+0.0` is never `-0.0`, so adding the `+0.0` bias returns it
+    /// unchanged. Every row then continues those chains from column `p`.
+    /// `partial` holds the zero bias and the partial sums (resized in
+    /// place).
+    pub(crate) fn dense_prefixed_into(
         &self,
-        w_packed: &Matrix,
-        bias: &[f64],
-        act: Activation,
+        layer: DenseLayer<'_>,
+        p: usize,
+        partial: &mut Vec<f64>,
+        out: &mut Matrix,
+    ) {
+        let threads = auto_threads(self.rows * self.cols * layer.w_packed.cols);
+        self.dense_prefixed_threads_into(layer, p, partial, threads, KernelBuild::Avx2, out);
+    }
+
+    /// [`Self::dense_prefixed_into`] with an explicit worker count and
+    /// build.
+    pub(crate) fn dense_prefixed_threads_into(
+        &self,
+        layer: DenseLayer<'_>,
+        p: usize,
+        partial: &mut Vec<f64>,
         threads: usize,
         build: KernelBuild,
         out: &mut Matrix,
     ) {
+        assert!(
+            p <= self.cols,
+            "prefix {p} wider than {} columns",
+            self.cols
+        );
+        if self.rows == 0 || p == 0 {
+            return self.dense_threads_into(layer, ChainStart::Zero, threads, build, out);
+        }
+        debug_assert!(
+            self.data.chunks_exact(self.cols).all(|row| row[..p]
+                .iter()
+                .zip(&self.data[..p])
+                .all(|(a, b)| a.to_bits() == b.to_bits())),
+            "rows do not share their first {p} columns"
+        );
+        let n = layer.w_packed.cols;
+        partial.clear();
+        partial.resize(2 * n, 0.0);
+        let (zeros, acc) = partial.split_at_mut(n);
+        dense_rows(
+            build,
+            &self.data[..p],
+            &layer.w_packed.data[..p * n],
+            zeros,
+            Activation::Linear,
+            ChainStart::Zero,
+            acc,
+        );
+        let start = ChainStart::Resume { k0: p, acc };
+        self.dense_threads_into(layer, start, threads, build, out);
+    }
+
+    /// The dense layer with an explicit chain start, worker count and
+    /// build.
+    ///
+    /// Each output row is owned by exactly one thread, and no row's result
+    /// depends on which other rows share its tile, so the result is
+    /// bit-identical for every `threads` value and both builds. One worker
+    /// runs all rows as one band, so the kernel sees whole row tiles.
+    pub(crate) fn dense_threads_into(
+        &self,
+        layer: DenseLayer<'_>,
+        start: ChainStart<'_>,
+        threads: usize,
+        build: KernelBuild,
+        out: &mut Matrix,
+    ) {
+        let DenseLayer {
+            w_packed,
+            bias,
+            act,
+        } = layer;
         assert_eq!(
             self.cols, w_packed.rows,
             "dense {}x{} · {}x{}",
@@ -445,7 +587,11 @@ impl Matrix {
         }
         let n_cols = w_packed.cols;
         let width = self.cols;
-        let rows_per_chunk = chunk_rows(self.rows, threads);
+        let rows_per_chunk = if threads <= 1 {
+            self.rows
+        } else {
+            chunk_rows(self.rows, threads)
+        };
         fairmove_parallel::par_chunks_mut_threads(
             threads,
             &mut out.data,
@@ -454,7 +600,7 @@ impl Matrix {
                 let row0 = chunk_idx * rows_per_chunk;
                 let rows = out_chunk.len() / n_cols;
                 let x = &self.data[row0 * width..(row0 + rows) * width];
-                dense_rows(build, x, &w_packed.data, bias, act, out_chunk);
+                dense_rows(build, x, &w_packed.data, bias, act, start, out_chunk);
             },
         );
     }
@@ -612,8 +758,28 @@ mod tests {
         threads: usize,
         build: KernelBuild,
     ) -> Matrix {
+        dense_prefixed(x, w, b, act, 0, threads, build)
+    }
+
+    /// [`dense`] through the shared-prefix entry: rows of `x` share their
+    /// first `p` columns.
+    fn dense_prefixed(
+        x: &Matrix,
+        w: &Matrix,
+        b: &[f64],
+        act: Activation,
+        p: usize,
+        threads: usize,
+        build: KernelBuild,
+    ) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        x.dense_threads_into(&w.transpose(), b, act, threads, build, &mut out);
+        let w_packed = w.transpose();
+        let layer = DenseLayer {
+            w_packed: &w_packed,
+            bias: b,
+            act,
+        };
+        x.dense_prefixed_threads_into(layer, p, &mut Vec::new(), threads, build, &mut out);
         out
     }
 
@@ -790,7 +956,7 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let u = (state >> 33) as u32;
-                if u % 10 == 0 {
+                if u.is_multiple_of(10) {
                     0.0
                 } else {
                     (u as f64 / u32::MAX as f64 - 0.5) * 3.7
@@ -834,7 +1000,13 @@ mod tests {
                 }
             }
             let mut auto = Matrix::zeros(0, 0);
-            a.dense_into(&w.transpose(), &bias, act, &mut auto);
+            let w_packed = w.transpose();
+            let layer = DenseLayer {
+                w_packed: &w_packed,
+                bias: &bias,
+                act,
+            };
+            a.dense_into(layer, &mut auto);
             assert_eq!(auto, reference, "{act:?} auto");
         }
     }
@@ -884,6 +1056,47 @@ mod tests {
                     reference_dense(&small_a, &small_w, &bias[..7], Activation::Relu),
                     "{build:?} rows={rows}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn prefixed_dense_equals_reference_at_every_prefix_and_row_count() {
+        // Rows share their first `p` columns; the prefixed entry must give
+        // the naive loop's bits for every split of the chain, every row
+        // remainder (4-row tiles, then a 3-, 2- or 1-row tile), both
+        // builds, one band and several.
+        let k = 24;
+        let w = scrambled(19, k, 21);
+        let bias = scrambled(1, 19, 22).data;
+        let prefix = scrambled(1, k, 23);
+        for rows in 1..=11 {
+            let mut x = scrambled(rows, k, 24 + rows as u64);
+            for p in [0, 1, 13, 14, 15, k - 1, k] {
+                for i in 0..rows {
+                    x.row_mut(i)[..p].copy_from_slice(&prefix.data[..p]);
+                }
+                for act in ACTS {
+                    let reference = reference_dense(&x, &w, &bias, act);
+                    for build in BUILDS {
+                        for threads in [1, 2, 4] {
+                            assert_eq!(
+                                dense_prefixed(&x, &w, &bias, act, p, threads, build),
+                                reference,
+                                "rows={rows} p={p} {act:?} {build:?} threads={threads}"
+                            );
+                        }
+                    }
+                    let (mut auto, mut partial) = (Matrix::zeros(0, 0), Vec::new());
+                    let w_packed = w.transpose();
+                    let layer = DenseLayer {
+                        w_packed: &w_packed,
+                        bias: &bias,
+                        act,
+                    };
+                    x.dense_prefixed_into(layer, p, &mut partial, &mut auto);
+                    assert_eq!(auto, reference, "rows={rows} p={p} {act:?} auto");
+                }
             }
         }
     }
@@ -983,7 +1196,12 @@ mod tests {
         a.matmul_threads_into(&b, 2, &mut out);
         assert_eq!(out, a.matmul_threads(&b, 2));
         let bias = scrambled(1, 11, 12).data;
-        a.dense_threads_into(&b, &bias, Activation::Tanh, 2, KernelBuild::Avx2, &mut out);
+        let layer = DenseLayer {
+            w_packed: &b,
+            bias: &bias,
+            act: Activation::Tanh,
+        };
+        a.dense_threads_into(layer, ChainStart::Zero, 2, KernelBuild::Avx2, &mut out);
         assert_eq!(
             out,
             dense(&a, &bt, &bias, Activation::Tanh, 2, KernelBuild::Avx2)

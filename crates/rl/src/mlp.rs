@@ -5,7 +5,7 @@
 //! Gradients are hand-derived and verified against finite differences in
 //! this module's tests.
 
-use crate::matrix::Matrix;
+use crate::matrix::{DenseLayer, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -107,16 +107,29 @@ impl Dense {
         out
     }
 
+    /// The kernel's view of this layer.
+    fn operands(&self) -> DenseLayer<'_> {
+        DenseLayer {
+            w_packed: &self.w_packed,
+            bias: &self.b,
+            act: self.activation,
+        }
+    }
+
     /// [`Self::forward`] into a caller-owned matrix: same kernel with the
     /// same auto thread count, so the output bits match exactly — only the
     /// allocation is gone.
     fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.dense_into(&self.w_packed, &self.b, self.activation, out);
+        x.dense_into(self.operands(), out);
     }
 
     fn forward_train(&mut self, x: &Matrix) -> Matrix {
         let mut z = Matrix::zeros(0, 0);
-        x.dense_into(&self.w_packed, &self.b, Activation::Linear, &mut z);
+        let linear = DenseLayer {
+            act: Activation::Linear,
+            ..self.operands()
+        };
+        x.dense_into(linear, &mut z);
         self.input = Some(x.clone());
         self.pre_activation = Some(z.clone());
         z.map_inplace(|v| self.activation.apply(v));
@@ -147,13 +160,15 @@ impl Dense {
 
 /// Two reusable activation matrices for allocation-free MLP inference:
 /// layer `i` writes into one while reading the other (ping-pong), so any
-/// network depth needs exactly two buffers. One workspace serves any number
-/// of MLPs and batch sizes — buffers are resized in place and only ever
-/// grow to the largest activation seen.
+/// network depth needs exactly two buffers, plus the first layer's shared
+/// partial sums for [`Mlp::forward_prefixed`]. One workspace serves any
+/// number of MLPs and batch sizes — buffers are resized in place and only
+/// ever grow to the largest activation seen.
 #[derive(Debug, Clone)]
 pub struct MlpWorkspace {
     ping: Matrix,
     pong: Matrix,
+    partial: Vec<f64>,
 }
 
 impl Default for MlpWorkspace {
@@ -168,12 +183,15 @@ impl MlpWorkspace {
         MlpWorkspace {
             ping: Matrix::zeros(0, 0),
             pong: Matrix::zeros(0, 0),
+            partial: Vec::new(),
         }
     }
 
-    /// High-water footprint of both buffers, for telemetry gauges.
+    /// High-water footprint of all buffers, for telemetry gauges.
     pub fn high_water_bytes(&self) -> usize {
-        self.ping.capacity_bytes() + self.pong.capacity_bytes()
+        self.ping.capacity_bytes()
+            + self.pong.capacity_bytes()
+            + self.partial.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -270,7 +288,26 @@ impl Mlp {
     /// performs zero heap allocations. The returned reference points into
     /// the workspace and is valid until its next use.
     pub fn forward_scratch<'w>(&self, x: &Matrix, ws: &'w mut MlpWorkspace) -> &'w Matrix {
-        self.layers[0].forward_into(x, &mut ws.ping);
+        self.forward_prefixed(x, 0, ws)
+    }
+
+    /// [`Self::forward_scratch`] for rows that all share their first `p`
+    /// input columns (debug builds check it), such as one decision's
+    /// candidate rows, which repeat its state features. The first layer
+    /// sums each output's `k < p` chain once and continues it for every
+    /// row from `k = p`, in the same ascending order, so the output is
+    /// bitwise that of [`Self::forward_scratch`]. `p = 0` is that method.
+    ///
+    /// # Panics
+    /// Panics if `p` exceeds the input width.
+    pub fn forward_prefixed<'w>(
+        &self,
+        x: &Matrix,
+        p: usize,
+        ws: &'w mut MlpWorkspace,
+    ) -> &'w Matrix {
+        let first = &self.layers[0];
+        x.dense_prefixed_into(first.operands(), p, &mut ws.partial, &mut ws.ping);
         let mut in_ping = true;
         for layer in &self.layers[1..] {
             if in_ping {
@@ -582,6 +619,40 @@ mod tests {
             h = out;
         }
         h
+    }
+
+    #[test]
+    fn forward_prefixed_matches_forward_and_the_naive_loop_bitwise() {
+        // An actor-shaped net over candidate rows that repeat a 14-wide
+        // state prefix, at every row count a decision can have.
+        let net = Mlp::new(&[24, 64, 64, 1], Activation::Relu, Activation::Linear, 7);
+        let mut ws = MlpWorkspace::new();
+        for rows in 1..=13 {
+            let x = Matrix::from_vec(
+                rows,
+                24,
+                (0..rows * 24)
+                    .map(|i| {
+                        let col = i % 24;
+                        let seed = if col < 14 { col } else { i } as f64;
+                        (seed * 0.731).sin() * 1.7
+                    })
+                    .collect(),
+            );
+            let expected = reference_forward(&net, &x, Activation::Relu);
+            assert_eq!(net.forward(&x), expected, "rows={rows}");
+            for p in [0, 1, 13, 14] {
+                let got = net.forward_prefixed(&x, p, &mut ws);
+                assert_eq!(got, &expected, "rows={rows} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix")]
+    fn forward_prefixed_rejects_a_prefix_wider_than_the_input() {
+        let net = Mlp::new(&[4, 3], Activation::Relu, Activation::Linear, 1);
+        let _ = net.forward_prefixed(&Matrix::zeros(2, 4), 5, &mut MlpWorkspace::new());
     }
 
     #[test]

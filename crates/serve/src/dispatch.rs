@@ -581,7 +581,7 @@ mod tests {
             ("EVENT surge 0 NaN 0 5", "surge factor NaN out of range"),
             ("EVENT surge 0 -3 0 5", "surge factor -3 out of range"),
         ] {
-            let err = core.apply_payload(payload).err().expect(payload);
+            let err = core.apply_payload(payload).expect_err(payload);
             assert!(err.contains(needle), "{payload}: {err}");
         }
         // The worker survives and keeps serving: valid ids at the world's
@@ -630,7 +630,7 @@ mod tests {
             let live = straight.apply_payload(payload);
             match refusal {
                 Some(needle) => {
-                    let err = live.as_ref().err().expect(payload);
+                    let err = live.as_ref().expect_err(payload);
                     assert!(err.contains(needle), "{payload}: {err}");
                 }
                 None => assert!(live.is_ok(), "{payload}: {live:?}"),

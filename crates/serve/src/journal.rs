@@ -181,7 +181,7 @@ mod tests {
             let replay = scan(&full[..cut]);
             let want = if cut >= full.len() {
                 2
-            } else if cut >= first_len + 1 {
+            } else if cut > first_len {
                 // Anywhere inside the second record (even one byte in) the
                 // tail is torn; the first record survives untouched.
                 1

@@ -323,9 +323,11 @@ mod tests {
 
     #[test]
     fn profit_efficiency_is_hourly() {
-        let mut l = TaxiLedger::default();
-        l.revenue_cny = 100.0;
-        l.cost_cny = 10.0;
+        let mut l = TaxiLedger {
+            revenue_cny: 100.0,
+            cost_cny: 10.0,
+            ..TaxiLedger::default()
+        };
         l.add_time(TimeBucket::Serve, 120);
         // 90 CNY over 2 hours = 45 CNY/h.
         assert!((l.profit_efficiency() - 45.0).abs() < 1e-9);

@@ -77,12 +77,12 @@ fn detaching_telemetry_mid_run_is_also_inert() {
     let mut policy = StayPolicy;
     for _ in 0..6 {
         let fb = env.step_slot(&mut policy);
-        policy.observe(&fb);
+        policy.observe(fb);
     }
     env.set_telemetry(&Telemetry::disabled());
     while !env.done() {
         let fb = env.step_slot(&mut policy);
-        policy.observe(&fb);
+        policy.observe(fb);
     }
     env.flush_accounting();
     assert_eq!(env.ledger().clone(), run(&Telemetry::disabled()));

@@ -74,7 +74,7 @@ macro_rules! span {
 
 /// Opens a hierarchical trace span (see [`trace`]), returning
 /// `Option<`[`trace::TraceSpan`]`>` — bind the guard:
-/// `let _t = trace_span!("decide");` or `trace_span!("wave", wave as u64)`
+/// `let _t = trace_span!("decide");` or `trace_span!("dispatch", n as u64)`
 /// to attach a `u64` argument. The global enabled flag is checked *first*,
 /// so when tracing is off the whole expression is a single relaxed atomic
 /// load and a `None`; the span name is interned once per call site.

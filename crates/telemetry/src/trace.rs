@@ -3,8 +3,8 @@
 //! This is the deep-tracing layer beneath the metrics registry: where a
 //! [`crate::Histogram`] aggregates durations, a trace span remembers *which*
 //! invocation took how long and *under which parent*, so a single slot can
-//! be unfolded into its tree — `step_slot → observe → decide (wave k) →
-//! matmul → commit` — and exported as Chrome trace-event JSON that loads
+//! be unfolded into its tree — `step_slot → observe → decide → dispatch(n)`,
+//! then `commit` — and exported as Chrome trace-event JSON that loads
 //! directly in Perfetto / `chrome://tracing`.
 //!
 //! ## Design
@@ -253,7 +253,7 @@ impl TraceSpan {
         Self::with_arg(name, 0)
     }
 
-    /// Opens a span carrying one `u64` argument (wave index, row count, …)
+    /// Opens a span carrying one `u64` argument (decision count, row count, …)
     /// shown under `args` in the Chrome trace.
     pub fn with_arg(name: SpanName, arg: u64) -> TraceSpan {
         let start_ns = now_ns();
@@ -330,7 +330,7 @@ pub struct TraceEvent {
     pub start_ns: u64,
     /// Wall duration.
     pub dur_ns: u64,
-    /// Caller-supplied argument (wave index, row count, …).
+    /// Caller-supplied argument (decision count, row count, …).
     pub arg: u64,
 }
 

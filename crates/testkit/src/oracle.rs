@@ -12,20 +12,23 @@
 //! | `serial-parallel` | `ordered_map` over worker threads ≡ the serial map |
 //! | `permutation-invariance` | fleet metrics are taxi-id-order invariant |
 //! | `alpha-objective` | Eq. 4 reward is affine in α; α = 1 ignores fairness, α = 0 ignores profit |
-//! | `batched-vs-serial-inference` | wave-batched CMA2C dispatch (`max_wave` > 1) ≡ the fully serial dispatcher (`max_wave: 1`) on both engines: bit-identical minute-engine ledgers, and equal sharded digests and decision counts on the scenario's (shards, threads) layout; stacked actor forward ≡ per-row forwards at 1/2/4 matmul workers |
+//! | `batched-vs-serial-inference` | the CMA2C dispatcher (cached features updated per commit, shared-prefix forward) ≡ a naive serial reference (`ReferenceCma2c`) on both engines: bit-identical minute-engine ledgers, and equal sharded digests and decision counts on the scenario's (shards, threads) layout; stacked actor forward ≡ per-row forwards at 1/2/4 matmul workers |
 //! | `shard-differential-fidelity` | sharded engine bit-identical across the scenario's (shards, threads) grid; fleet conserved; SoC bounded; queue waits within patience; demand totals within sampling noise of the minute engine (see [`crate::differential`]) |
 
 use crate::canon::fnv64;
 use crate::scenario::{PlanMode, RunArtifacts, Scenario, TestRng};
-use fairmove_agents::features::SA_DIM;
+use fairmove_agents::features::{FeatureExtractor, SA_DIM};
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy, Cma2cShardPolicy};
-use fairmove_city::City;
+use fairmove_city::{City, RegionId};
 use fairmove_metrics::{gini, profit_fairness};
+use fairmove_rl::loss::softmax;
 use fairmove_rl::{Activation, Matrix, Mlp};
 use fairmove_sim::{
-    DisplacementPolicy, Environment, FleetLedger, InvariantAuditor, ShardPolicy, ShardedEnv,
-    TaxiId, Telemetry,
+    Action, DecisionContext, DisplacementPolicy, Environment, FleetLedger, InvariantAuditor,
+    ShardPolicy, ShardedEnv, SlotObservation, TaxiId, Telemetry, WorkingObservation,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt;
 
 /// One failed oracle: which check, and what it saw.
@@ -260,52 +263,191 @@ fn alpha_objective(scenario: &Scenario, base: &RunArtifacts) -> Result<(), Oracl
     Ok(())
 }
 
-/// The wave-batched CMA2C dispatcher must be bit-identical to the fully
-/// serial one. Two frozen policies with the same weights and exploration
-/// seed drive the same environment, differing only in `max_wave` (1 vs the
-/// default); any divergence in featurization, forward-pass stacking, commit
-/// ordering, or RNG consumption shows up as a ledger diff. The sharded half
-/// does the same through [`Cma2cShardPolicy`] on the scenario's shard
-/// layout and thread count, and
-/// compares digests and decision counts. A further check
-/// pushes one stacked input through the actor-shaped MLP and compares it
-/// row-by-row against per-row forwards, and through the raw row-partitioned
-/// matmul kernel at 1, 2, and 4 explicit workers — the batched numerics
-/// must not depend on how many decisions share a forward pass or how many
-/// threads split it.
+/// The fully serial CMA2C dispatcher, written naively: per context, every
+/// candidate row from the uncached [`FeatureExtractor::all_state_actions`]
+/// over a [`WorkingObservation`] of the earlier commits in scope, the state
+/// ablations, one plain [`Mlp::forward`], the charge prior, and one draw
+/// from the stream through `softmax` and a cumulative scan. On the minute
+/// engine the scope is the whole city's decision list and the stream is
+/// the policy's own; on the sharded engine the scope is one region's list
+/// and the stream is the region's.
+struct ReferenceCma2c {
+    fx: FeatureExtractor,
+    actor: Mlp,
+    config: Cma2cConfig,
+    /// The minute engine's exploration stream, seeded as [`Cma2cPolicy`]
+    /// seeds its own.
+    rng: StdRng,
+}
+
+/// [`Cma2cPolicy`]'s exploration-stream salt ("CMA2C").
+const CMA2C_STREAM_SALT: u64 = 0x43_4d41_3243;
+
+impl ReferenceCma2c {
+    /// The reference over `city` with `config`'s actor initialization,
+    /// charge prior and ablations.
+    fn new(city: &City, config: &Cma2cConfig) -> Self {
+        ReferenceCma2c {
+            fx: FeatureExtractor::new(city),
+            actor: Cma2cShardPolicy::new(city, config).actor().clone(),
+            config: config.clone(),
+            rng: StdRng::seed_from_u64(config.seed ^ CMA2C_STREAM_SALT),
+        }
+    }
+
+    fn decide_with(
+        &self,
+        obs: &SlotObservation,
+        ctxs: &[DecisionContext],
+        rng: &mut StdRng,
+    ) -> Vec<Action> {
+        let mut view = WorkingObservation::new(obs);
+        let mut out = Vec::with_capacity(ctxs.len());
+        for ctx in ctxs {
+            let mut rows = self.fx.all_state_actions(&view, ctx);
+            for row in &mut rows {
+                if self.config.ablate_global_view {
+                    for i in [4, 5, 6, 7, 10] {
+                        row[i] = 0.0;
+                    }
+                }
+                if self.config.ablate_fairness_features {
+                    for i in [11, 12] {
+                        row[i] = 0.0;
+                    }
+                }
+            }
+            let x = Matrix::from_vec(rows.len(), SA_DIM, rows.concat());
+            let raw = self.actor.forward(&x);
+            let logits: Vec<f64> = ctx
+                .actions
+                .actions()
+                .iter()
+                .enumerate()
+                .map(|(j, a)| {
+                    let free_charge =
+                        matches!(a, Action::Charge(_)) && !ctx.actions.charge_forced();
+                    let prior = if free_charge {
+                        self.config.charge_logit_prior
+                    } else {
+                        0.0
+                    };
+                    raw.get(j, 0) - prior
+                })
+                .collect();
+            let draw: f64 = rng.gen();
+            let mut acc = 0.0;
+            let mut idx = logits.len() - 1;
+            for (i, p) in softmax(&logits).into_iter().enumerate() {
+                acc += p;
+                if draw < acc {
+                    idx = i;
+                    break;
+                }
+            }
+            let action = ctx.actions.action(idx);
+            match action {
+                Action::Stay => {}
+                Action::MoveTo(dest) => {
+                    let vacant = view.vacant_per_region_mut();
+                    let o = ctx.region.index();
+                    vacant[o] = vacant[o].saturating_sub(1);
+                    vacant[dest.index()] += 1;
+                }
+                Action::Charge(station) => {
+                    let vacant = view.vacant_per_region_mut();
+                    let o = ctx.region.index();
+                    vacant[o] = vacant[o].saturating_sub(1);
+                    view.inbound_per_station_mut()[station.index()] += 1;
+                }
+            }
+            out.push(action);
+        }
+        out
+    }
+}
+
+impl DisplacementPolicy for ReferenceCma2c {
+    fn name(&self) -> &str {
+        "reference-cma2c"
+    }
+
+    fn decide(&mut self, obs: &SlotObservation, decisions: &[DecisionContext]) -> Vec<Action> {
+        let mut rng = self.rng.clone();
+        let out = self.decide_with(obs, decisions, &mut rng);
+        self.rng = rng;
+        out
+    }
+
+    fn reseed_exploration(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed ^ CMA2C_STREAM_SALT);
+    }
+}
+
+impl ShardPolicy for ReferenceCma2c {
+    fn name(&self) -> &'static str {
+        "reference-cma2c"
+    }
+
+    fn decide_region(
+        &mut self,
+        _city: &City,
+        obs: &SlotObservation,
+        _region: RegionId,
+        ctxs: &[DecisionContext],
+        rng: &mut StdRng,
+        out: &mut Vec<Action>,
+    ) {
+        *out = self.decide_with(obs, ctxs, rng);
+    }
+}
+
+/// The CMA2C dispatcher must be bit-identical to the naive serial
+/// [`ReferenceCma2c`]. A frozen [`Cma2cPolicy`] and the reference, with the
+/// same weights and exploration seed, drive the same environment; any
+/// divergence in featurization, cache updates, the shared-prefix forward,
+/// commit ordering, or RNG consumption shows up as a ledger diff. The
+/// sharded half does the same through [`Cma2cShardPolicy`] on the
+/// scenario's shard layout and thread count, and compares digests and
+/// decision counts. A further check pushes one stacked input through the
+/// actor-shaped MLP and compares it row-by-row against per-row forwards,
+/// and through the raw row-partitioned matmul kernel at 1, 2, and 4
+/// explicit workers — the batched numerics must not depend on how many
+/// rows share a forward pass or how many threads split it.
 fn batched_vs_serial_inference(scenario: &Scenario) -> Result<(), OracleFailure> {
-    let run = |max_wave: usize| -> (FleetLedger, u64) {
+    let config = Cma2cConfig {
+        seed: scenario.seed,
+        ..Cma2cConfig::default()
+    };
+    let run = |reference: bool| -> (FleetLedger, u64) {
         let mut env = Environment::new(scenario.sim_config());
         env.set_auditor(InvariantAuditor::recording());
         if let Some(p) = &scenario.fault_plan {
             env.set_fault_plan(p.clone());
         }
         let city = env.city().clone();
-        let mut policy = Cma2cPolicy::new(
-            &city,
-            Cma2cConfig {
-                max_wave,
-                seed: scenario.seed,
-                ..Cma2cConfig::default()
-            },
-        );
-        policy.freeze();
+        let mut policy: Box<dyn DisplacementPolicy> = if reference {
+            Box::new(ReferenceCma2c::new(&city, &config))
+        } else {
+            let mut p = Cma2cPolicy::new(&city, config.clone());
+            p.freeze();
+            Box::new(p)
+        };
         for _ in 0..scenario.slots {
-            let feedback = env.step_slot(&mut policy);
+            let feedback = env.step_slot(policy.as_mut());
             policy.observe(feedback);
         }
         env.flush_accounting();
         let violations = env.auditor().map_or(0, |a| a.violations());
         (env.ledger().clone(), violations)
     };
-    let default_wave = Cma2cConfig::default().max_wave;
-    let (serial, serial_violations) = run(1);
-    let (batched, batched_violations) = run(default_wave);
+    let (serial, serial_violations) = run(true);
+    let (batched, batched_violations) = run(false);
     if serial != batched {
         return fail(
             "batched-vs-serial-inference",
             format!(
-                "wave-batched dispatch diverged from serial (first diff: {})",
+                "dispatcher diverged from the serial reference (first diff: {})",
                 first_ledger_diff(&serial, &batched)
             ),
         );
@@ -314,30 +456,29 @@ fn batched_vs_serial_inference(scenario: &Scenario) -> Result<(), OracleFailure>
         return fail(
             "batched-vs-serial-inference",
             format!(
-                "audit violations diverged: serial {serial_violations} vs batched {batched_violations}"
+                "audit violations diverged: reference {serial_violations} vs dispatcher {batched_violations}"
             ),
         );
     }
 
-    let run_sharded = |max_wave: usize| -> (u64, u64) {
-        let config = Cma2cConfig {
-            max_wave,
-            seed: scenario.seed,
-            ..Cma2cConfig::default()
-        };
+    let run_sharded = |reference: bool| -> (u64, u64) {
         let factory = |city: &City| -> Box<dyn ShardPolicy> {
-            Box::new(Cma2cShardPolicy::new(city, &config))
+            if reference {
+                Box::new(ReferenceCma2c::new(city, &config))
+            } else {
+                Box::new(Cma2cShardPolicy::new(city, &config))
+            }
         };
         let mut env = ShardedEnv::with_policy(scenario.sim_config(), scenario.shards, &factory);
         env.run(scenario.slots, scenario.threads);
         (env.digest(), env.decisions())
     };
-    let (serial, batched) = (run_sharded(1), run_sharded(default_wave));
+    let (serial, batched) = (run_sharded(true), run_sharded(false));
     if serial != batched {
         return fail(
             "batched-vs-serial-inference",
             format!(
-                "sharded wave-batched dispatch diverged from serial at {} shards x {} threads: \
+                "sharded dispatcher diverged from the serial reference at {} shards x {} threads: \
                  digest {:016x} vs {:016x}, decisions {} vs {}",
                 scenario.shards, scenario.threads, serial.0, batched.0, serial.1, batched.1
             ),

@@ -5,26 +5,27 @@
 //! window has grown every reusable buffer to its high-water mark, stepping a
 //! slot — including the invariant audit that debug builds run every slot —
 //! performs **zero** heap allocations, for both the trivial [`StayPolicy`]
-//! and a frozen batched [`Cma2cPolicy`] — with span tracing enabled
+//! and a frozen [`Cma2cPolicy`] — with span tracing enabled
 //! throughout, and (in one test) a live telemetry context recording
 //! per-slot counters and HDR latency histograms.
 //!
-//! The CMA2C configuration pins `max_wave: 16` so the stacked actor forward
-//! stays below the parallel matmul threshold (`PAR_MIN_FLOPS`) at any
-//! `FAIRMOVE_THREADS` setting: all work then happens on the calling thread,
-//! which is exactly where [`CountingAlloc`]'s thread-local counter looks.
-//! CI runs this suite under `FAIRMOVE_THREADS=1` and `=4` to prove the
-//! envelope is thread-count independent.
+//! The CMA2C dispatcher runs one actor forward per decision, over that
+//! taxi's ~10 candidate rows, which stays far below the parallel matmul
+//! threshold (`PAR_MIN_FLOPS`) at any `FAIRMOVE_THREADS` setting: all work
+//! happens on the calling thread, which is exactly where
+//! [`CountingAlloc`]'s thread-local counter looks. CI runs this suite under
+//! `FAIRMOVE_THREADS=1` and `=4` to prove the envelope is thread-count
+//! independent.
 //!
-//! The sharded engine's CMA2C path runs the same wave dispatcher, so one
-//! test holds a frozen [`Cma2cShardPolicy`]'s `decide_region` to the same
+//! The sharded engine's CMA2C path runs the same dispatcher, so one test
+//! holds a frozen [`Cma2cShardPolicy`]'s `decide_region` to the same
 //! envelope on a captured test-scale region (the engine's own slot
 //! stepping is not yet inside it).
 //!
 //! Known, deliberate exclusions from the zero-alloc envelope (all inactive
 //! here): fault plans (the observation-staleness history ring clones per
-//! slot), learning mode (replay buffer and training matmuls), telemetry
-//! export, and waves large enough to cross the parallel threshold.
+//! slot), learning mode (replay buffer and training matmuls), and telemetry
+//! export.
 
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy, Cma2cShardPolicy};
 use fairmove_city::{City, RegionId};
@@ -57,11 +58,6 @@ fn enable_tracing() {
 const WARMUP_SLOTS: usize = 30;
 /// Slots measured after warmup; every one must allocate exactly zero times.
 const MEASURED_SLOTS: usize = 8;
-
-/// Wave cap that keeps the stacked forward serial at any thread count:
-/// 16 decisions × 10 actions = 160 rows, and the widest layer then costs
-/// 160·64·64·2 ≈ 1.3 MFLOP, well under the 4.2 MFLOP parallel threshold.
-const SERIAL_SAFE_WAVE: usize = 16;
 
 fn assert_steady_state_is_alloc_free(policy: &mut dyn DisplacementPolicy, label: &str) {
     enable_tracing();
@@ -99,13 +95,7 @@ fn step_slot_is_alloc_free_with_stay_policy() {
 #[cfg_attr(feature = "seeded-bug", ignore = "seeded ledger bug trips the auditor")]
 fn step_slot_is_alloc_free_with_frozen_batched_cma2c() {
     let city = Environment::new(SimConfig::test_scale()).city().clone();
-    let mut policy = Cma2cPolicy::new(
-        &city,
-        Cma2cConfig {
-            max_wave: SERIAL_SAFE_WAVE,
-            ..Cma2cConfig::default()
-        },
-    );
+    let mut policy = Cma2cPolicy::new(&city, Cma2cConfig::default());
     policy.freeze();
     assert_steady_state_is_alloc_free(&mut policy, "frozen cma2c");
 }
@@ -124,13 +114,7 @@ fn step_slot_is_alloc_free_with_telemetry_and_tracing() {
     env.prepare_steady_state();
     env.set_telemetry(&telemetry);
     let city = env.city().clone();
-    let mut policy = Cma2cPolicy::new(
-        &city,
-        Cma2cConfig {
-            max_wave: SERIAL_SAFE_WAVE,
-            ..Cma2cConfig::default()
-        },
-    );
+    let mut policy = Cma2cPolicy::new(&city, Cma2cConfig::default());
     policy.freeze();
     for _ in 0..WARMUP_SLOTS {
         let feedback = env.step_slot(&mut policy);
@@ -148,7 +132,7 @@ fn step_slot_is_alloc_free_with_telemetry_and_tracing() {
     }
 }
 
-/// The batched dispatcher itself — outside the environment loop — must also
+/// The dispatcher itself — outside the environment loop — must also
 /// be alloc-free once its scratch (feature cache, row matrix, forward
 /// workspace) has warmed up.
 #[test]
@@ -157,13 +141,7 @@ fn batched_decide_into_is_alloc_free_when_frozen() {
     enable_tracing();
     let mut env = Environment::new(SimConfig::test_scale());
     let city = env.city().clone();
-    let mut policy = Cma2cPolicy::new(
-        &city,
-        Cma2cConfig {
-            max_wave: SERIAL_SAFE_WAVE,
-            ..Cma2cConfig::default()
-        },
-    );
+    let mut policy = Cma2cPolicy::new(&city, Cma2cConfig::default());
     policy.freeze();
 
     // Step into mid-morning under Stay so the decision set has realistic
@@ -223,7 +201,7 @@ impl ShardPolicy for CaptureLargestRegion {
     }
 }
 
-/// The sharded engine's CMA2C policy runs the shared wave dispatcher, so
+/// The sharded engine's CMA2C policy runs the shared dispatcher, so
 /// once its scratch has warmed up, deciding a region must not allocate
 /// either — the first piece of a zero-alloc shard-stepping contract.
 #[test]
@@ -247,13 +225,7 @@ fn shard_decide_region_is_alloc_free_when_frozen() {
         .expect("the run decided at least one region");
     assert!(ctxs.len() > 1, "test needs a multi-taxi region");
 
-    let mut policy = Cma2cShardPolicy::new(
-        &city,
-        &Cma2cConfig {
-            max_wave: SERIAL_SAFE_WAVE,
-            ..Cma2cConfig::default()
-        },
-    );
+    let mut policy = Cma2cShardPolicy::new(&city, &Cma2cConfig::default());
     let mut actions = Vec::with_capacity(ctxs.len());
     // The first pass warms the scratch on exactly the calls the second
     // pass measures, so every buffer is already at its high-water mark.
