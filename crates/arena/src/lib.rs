@@ -5,11 +5,9 @@
 //! features, per-minute arrival buckets, stacked activation matrices) and
 //! is dead the moment the slot ends. Allocating that scratch from the
 //! global heap every slot costs more than the arithmetic it feeds at paper
-//! scale, so this crate provides the three buffer disciplines the hot path
-//! uses instead, all dependency-free:
+//! scale, so this crate provides the two buffer disciplines the hot path
+//! uses instead, both dependency-free:
 //!
-//! * [`Bump`] — a bump-style scratch arena: monotone append during the
-//!   slot, one O(1) reset between slots, capacity retained forever.
 //! * [`VecPool`] — a pool of reusable `Vec<T>` buffers for scratch whose
 //!   count varies (per-minute arrival buckets): `take` hands out a cleared
 //!   buffer, `put` returns it, and the outstanding count makes leaks
@@ -19,115 +17,25 @@
 //!   last slot's values: stale reads see NaN / `u32::MAX` and the
 //!   simulator's invariant auditor checks the fill between slots.
 //!
-//! Every container tracks a byte high-water mark so the embedding layer
-//! (sim, agents) can mirror steady-state scratch footprint into telemetry
-//! gauges without this crate depending on the telemetry crate.
+//! The pool tracks a byte high-water mark so the embedding layer (sim) can
+//! mirror steady-state scratch footprint into telemetry gauges without this
+//! crate depending on the telemetry crate.
 //!
-//! None of these types allocate after their high-water capacity is reached:
-//! that is the property the `fairmove-testkit` counting-allocator tests pin
-//! for `Environment::step_slot` and the batched CMA2C `decide()`.
+//! The pool does not allocate after its high-water capacity is reached:
+//! that is part of what the `fairmove-testkit` counting-allocator tests pin
+//! for `Environment::step_slot`.
 
-/// Usage counters shared by every arena container, for telemetry mirrors.
+/// Pool usage counters, for telemetry mirrors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Largest backing capacity ever held, in bytes.
     pub high_water_bytes: usize,
-    /// Buffers currently handed out (pools) or live elements (bump).
+    /// Buffers currently handed out.
     pub outstanding: usize,
-    /// Total take/append operations served.
+    /// Total take operations served.
     pub takes: u64,
     /// Operations that had to grow or allocate (cold path).
     pub misses: u64,
-}
-
-/// A bump-style scratch arena over `Vec<T>`: values are appended during a
-/// slot and thrown away all at once between slots. `clear` is O(1) and
-/// never releases capacity, so after warmup every append lands in already
-/// owned memory.
-#[derive(Debug, Clone)]
-pub struct Bump<T> {
-    data: Vec<T>,
-    takes: u64,
-    misses: u64,
-}
-
-impl<T> Default for Bump<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Bump<T> {
-    /// An empty arena (no backing storage until first use).
-    pub fn new() -> Self {
-        Bump {
-            data: Vec::new(),
-            takes: 0,
-            misses: 0,
-        }
-    }
-
-    /// Drops all live values, keeping capacity.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Appends one value.
-    #[inline]
-    pub fn push(&mut self, value: T) {
-        self.takes += 1;
-        if self.data.len() == self.data.capacity() {
-            self.misses += 1;
-        }
-        self.data.push(value);
-    }
-
-    /// Live values appended since the last [`clear`](Self::clear).
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of the live values.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Number of live values.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when no values are live (the between-slots state).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Usage counters for telemetry mirrors.
-    pub fn stats(&self) -> ArenaStats {
-        ArenaStats {
-            high_water_bytes: self.data.capacity() * std::mem::size_of::<T>(),
-            outstanding: self.data.len(),
-            takes: self.takes,
-            misses: self.misses,
-        }
-    }
-}
-
-impl<T: Clone> Bump<T> {
-    /// Appends a whole slice.
-    #[inline]
-    pub fn extend_from_slice(&mut self, values: &[T]) {
-        self.takes += values.len() as u64;
-        if self.data.len() + values.len() > self.data.capacity() {
-            self.misses += 1;
-        }
-        self.data.extend_from_slice(values);
-    }
 }
 
 /// A pool of reusable `Vec<T>` buffers for scratch whose *count* varies per
@@ -261,37 +169,6 @@ pub fn is_poisoned<T: Poison>(slice: &[T]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bump_retains_capacity_across_clears() {
-        let mut b: Bump<f64> = Bump::new();
-        for i in 0..100 {
-            b.push(i as f64);
-        }
-        let cap_bytes = b.stats().high_water_bytes;
-        assert!(cap_bytes >= 100 * 8);
-        b.clear();
-        assert!(b.is_empty());
-        // Refill within capacity: no new misses.
-        let misses = b.stats().misses;
-        for i in 0..100 {
-            b.push(i as f64);
-        }
-        assert_eq!(b.stats().misses, misses);
-        assert_eq!(b.stats().high_water_bytes, cap_bytes);
-        assert_eq!(b.len(), 100);
-    }
-
-    #[test]
-    fn bump_extend_matches_push() {
-        let mut a: Bump<u32> = Bump::new();
-        let mut b: Bump<u32> = Bump::new();
-        a.extend_from_slice(&[1, 2, 3]);
-        for v in [1, 2, 3] {
-            b.push(v);
-        }
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
 
     #[test]
     fn pool_reuses_returned_buffers() {

@@ -6,22 +6,17 @@
 //!     --smoke   tiny sizes and one measured round (the CI smoke job)
 //! ```
 //!
-//! Two workloads, each timed with a steady clock ([`std::time::Instant`])
-//! after a warmup round, reporting the median of N measured rounds:
-//!
-//! * **matmul** — the dense actor/critic forward kernel
-//!   ([`Matrix::matmul_threads`]) at serial vs full thread count, in
-//!   GFLOP/s, with a bitwise-equality assertion over the output buffers;
-//! * **compare** — the end-to-end train/eval comparison harness
-//!   ([`ComparisonResults::run_with_threads`]) at 1 vs N threads, in
-//!   simulated slots per second, with a ledger-equality assertion.
+//! Times the end-to-end train/eval comparison harness
+//! ([`ComparisonResults::run_with_threads`]) at 1 vs N threads with a
+//! steady clock ([`std::time::Instant`]) after a warmup round, reporting
+//! the median of N measured rounds in simulated slots per second, and
+//! asserts that every ledger and training curve is identical.
 //!
 //! Results land in `BENCH_parallel.json` (hand-rolled JSON, no deps).
 
 use fairmove_city::SLOTS_PER_DAY;
 use fairmove_core::experiments::{ComparisonConfig, ComparisonResults};
 use fairmove_core::method::MethodKind;
-use fairmove_rl::Matrix;
 use fairmove_sim::SimConfig;
 use std::time::Instant;
 
@@ -34,12 +29,10 @@ fn main() {
         if smoke { ", smoke" } else { "" }
     );
 
-    let matmul = bench_matmul(smoke, threads, rounds);
     let compare = bench_compare(smoke, threads, rounds);
 
-    let json = format!(
-        "{{\"smoke\":{smoke},\"threads\":{threads},\"rounds\":{rounds},{matmul},{compare}}}\n"
-    );
+    let json =
+        format!("{{\"smoke\":{smoke},\"threads\":{threads},\"rounds\":{rounds},{compare}}}\n");
     let path = "BENCH_parallel.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
@@ -64,54 +57,6 @@ fn median_seconds<R>(rounds: usize, mut f: impl FnMut() -> R) -> (f64, R) {
         .collect();
     samples.sort_by(f64::total_cmp);
     (samples[samples.len() / 2], result)
-}
-
-fn bench_matmul(smoke: bool, threads: usize, rounds: usize) -> String {
-    let (m, k, n) = if smoke { (64, 64, 64) } else { (256, 384, 256) };
-    // Deterministic fill: the bench must do identical arithmetic per round.
-    let fill = |rows: usize, cols: usize, salt: u64| {
-        let mut state = salt;
-        let data = (0..rows * cols)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) as f64 / (1u64 << 31) as f64 - 0.5
-            })
-            .collect();
-        Matrix::from_vec(rows, cols, data)
-    };
-    let a = fill(m, k, 1);
-    let b = fill(k, n, 2);
-
-    let (serial_s, serial_out) = median_seconds(rounds, || a.matmul_threads(&b, 1));
-    let (parallel_s, parallel_out) = median_seconds(rounds, || a.matmul_threads(&b, threads));
-    let identical = serial_out
-        .data()
-        .iter()
-        .zip(parallel_out.data())
-        .all(|(x, y)| x.to_bits() == y.to_bits());
-    assert!(
-        identical,
-        "parallel matmul is not bitwise-identical to serial"
-    );
-
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    let serial_gflops = flops / serial_s / 1e9;
-    let parallel_gflops = flops / parallel_s / 1e9;
-    println!("--- matmul {m}x{k} . {k}x{n} ---");
-    println!("serial:   {serial_s:.6} s  ({serial_gflops:.2} GFLOP/s)");
-    println!("parallel: {parallel_s:.6} s  ({parallel_gflops:.2} GFLOP/s)");
-    println!(
-        "speedup:  {:.2}x, bitwise identical\n",
-        serial_s / parallel_s
-    );
-
-    format!(
-        "\"matmul\":{{\"m\":{m},\"k\":{k},\"n\":{n},\
-         \"serial_seconds\":{serial_s},\"parallel_seconds\":{parallel_s},\
-         \"serial_gflops\":{serial_gflops},\"parallel_gflops\":{parallel_gflops},\
-         \"speedup\":{},\"bitwise_identical\":true}}",
-        serial_s / parallel_s
-    )
 }
 
 fn bench_compare(smoke: bool, threads: usize, rounds: usize) -> String {
@@ -145,8 +90,23 @@ fn bench_compare(smoke: bool, threads: usize, rounds: usize) -> String {
     });
     assert_eq!(
         serial_res.gt.ledger, parallel_res.gt.ledger,
-        "parallel comparison diverged from serial"
+        "parallel GT ledger diverged from serial"
     );
+    assert_eq!(serial_res.methods.len(), parallel_res.methods.len());
+    for (a, b) in serial_res.methods.iter().zip(&parallel_res.methods) {
+        assert_eq!(
+            a.outcome.ledger, b.outcome.ledger,
+            "parallel {:?} ledger diverged from serial",
+            a.kind
+        );
+        let bits = |curve: &[f64]| curve.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&a.training_curve),
+            bits(&b.training_curve),
+            "parallel {:?} training curve diverged from serial",
+            a.kind
+        );
+    }
 
     let serial_tput = slots as f64 / serial_s;
     let parallel_tput = slots as f64 / parallel_s;

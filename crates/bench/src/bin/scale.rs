@@ -12,8 +12,6 @@
 //! - `--smoke`: Test scale only, one measured round. The CI bench-smoke job
 //!   runs this to keep the report schema and the zero-alloc steady state
 //!   exercised on every push.
-//! - `--full`: additionally run the paper-scale preset (20,130 taxis, 491
-//!   regions — minutes per round). Off by default.
 //! - `--paper`: run the paper preset on the region-sharded engine (the full
 //!   20,130-taxi deployment over one day; `--smoke` shrinks the window).
 //! - `--policy greedy|cma2c`: which slot-granularity policy drives the
@@ -139,7 +137,7 @@ fn check_baseline(report: &ScaleReport, baseline: &ScaleReport, require_paper: b
 /// Prints `message` and exits with the usage-error status.
 fn usage_error(message: &str) -> ! {
     eprintln!(
-        "{message}\nusage: scale [--smoke] [--full] [--paper] [--policy greedy|cma2c] \
+        "{message}\nusage: scale [--smoke] [--paper] [--policy greedy|cma2c] \
          [--check-baseline [path]] [--out path]"
     );
     std::process::exit(2);
@@ -147,14 +145,13 @@ fn usage_error(message: &str) -> ! {
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
-    let (mut smoke, mut full, mut paper) = (false, false, false);
+    let (mut smoke, mut paper) = (false, false);
     let mut shard_policy = ShardBenchPolicy::Greedy;
     let mut baseline_check = None;
     let mut out_path = String::from("BENCH_scale.json");
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--full" => full = true,
             "--paper" => paper = true,
             "--policy" => {
                 shard_policy = match args.next().as_deref() {
@@ -185,12 +182,6 @@ fn main() {
         (&[], 1, 0) // paper runs through the sharded path below
     } else if smoke {
         (&[Scale::Test], 1, 6)
-    } else if full {
-        (
-            &[Scale::Test, Scale::Small, Scale::Default, Scale::Full],
-            ROUNDS,
-            WARMUP,
-        )
     } else {
         (&[Scale::Test, Scale::Small, Scale::Default], ROUNDS, WARMUP)
     };
@@ -201,13 +192,7 @@ fn main() {
         results: Vec::new(),
     };
     for &scale in scales {
-        // The paper-scale preset gets one round: a single round is already
-        // minutes of wall clock, and the medians at smaller scales cover
-        // run-to-run noise.
-        let scale_rounds = if scale == Scale::Full { 1 } else { rounds };
-        report
-            .results
-            .extend(run_scale(scale, scale_rounds, warmup));
+        report.results.extend(run_scale(scale, rounds, warmup));
     }
     if paper {
         let (warmup, rounds, slots) = if smoke {

@@ -25,9 +25,11 @@
 //! - `--out <path>`: where to write the report (default `BENCH_trace.json`).
 
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy};
+use fairmove_bench::scale_report::field_f64;
 use fairmove_bench::Scale;
 use fairmove_city::City;
 use fairmove_sim::{DisplacementPolicy, Environment};
+use fairmove_telemetry::export::json_f64;
 use fairmove_telemetry::trace;
 use fairmove_telemetry::Telemetry;
 use std::time::Instant;
@@ -53,23 +55,6 @@ fn fresh(scale: Scale, telemetry: &Telemetry) -> (Environment, Cma2cPolicy) {
     env.prepare_steady_state();
     env.set_telemetry(telemetry);
     (env, policy)
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Extracts `"key":<number>` from a flat JSON document.
-fn field_f64(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj[at..].trim_start();
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn main() {

@@ -9,10 +9,8 @@ pub mod report;
 pub mod scale;
 pub mod scale_bench;
 pub mod scale_report;
-pub mod serve_report;
 
 pub use report::Table;
 pub use scale::{parse_scale, Scale};
 pub use scale_bench::{measure, measure_sharded, peak_rss_bytes, CountingPolicy, ShardBenchPolicy};
 pub use scale_report::{ScaleReport, ScaleResult};
-pub use serve_report::ServeReport;

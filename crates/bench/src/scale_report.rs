@@ -6,12 +6,15 @@
 //! same format back so the throughput-regression test can compare a live
 //! measurement against the checked-in baseline, and so the schema itself is
 //! pinned by a round-trip test.
+//! Its tolerant [`field_f64`] also reads the `trace` binary's checked-in
+//! span-overhead budget.
 //!
 //! The format is deliberately flat: one top-level object with scalar
 //! metadata and a `results` array of flat objects. Unknown fields are
 //! ignored on parse, so baselines may carry extra annotations (e.g. the
 //! pre-change reference throughput) without breaking readers.
 
+use fairmove_telemetry::export::{json_f64, json_string};
 use std::fmt::Write as _;
 
 /// One measured (scale, policy) pair.
@@ -148,35 +151,8 @@ impl ScaleReport {
     }
 }
 
-/// Finite floats print as shortest-round-trip Rust `{}`, which is valid
-/// JSON; non-finite values have no JSON form and become `null`.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Extracts `"key":<number>` from a flat JSON object/document.
-fn field_f64(obj: &str, key: &str) -> Option<f64> {
+pub fn field_f64(obj: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
     let at = obj.find(&needle)? + needle.len();
     let rest = obj[at..].trim_start();
@@ -281,11 +257,5 @@ mod tests {
             "{\"threads\":1,\"rounds\":1,\"results\":[{\"scale\":\"x\"}]}"
         )
         .is_none());
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("tab\tchar"), "\"tab\\u0009char\"");
     }
 }

@@ -170,6 +170,62 @@ fn crash_between_journal_append_and_execution_replays_cleanly() {
 }
 
 #[test]
+fn concurrent_decide_load_then_kill_restarts_to_the_same_digest() {
+    let dir = fresh_dir("concurrent");
+    let config = ServeConfig::test_scale(dir.clone());
+    let checkpoint_every = config.checkpoint_every;
+    let sim = config.sim.clone();
+    let mut server = DispatchServer::start(config).unwrap();
+    let addr = server.addr();
+
+    // 3 clients x 15 decides: 45 journal records when none is shed, so one
+    // automatic checkpoint lands mid-load and the rest must be replayed.
+    let (clients, requests) = (3, 15);
+    let workers: Vec<_> = (0..clients)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for _ in 0..requests {
+                    let response = client.request("DECIDE 1000").unwrap();
+                    assert!(
+                        response.starts_with("OK decide ")
+                            || response.starts_with("ERR 429")
+                            || response.starts_with("ERR 503"),
+                        "unexpected response {response:?}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+
+    let mut client = Client::connect(addr).unwrap();
+    let health = client.request("HEALTH").unwrap();
+    let seq: u64 = health.split_whitespace().nth(3).unwrap().parse().unwrap();
+    assert!(
+        seq > checkpoint_every,
+        "load must pass a checkpoint: {health}"
+    );
+    let digest = client.request("DIGEST").unwrap();
+    client.fire_and_forget("KILL").unwrap();
+    assert!(server.wait_worker_exit(Duration::from_secs(30)));
+    drop(server);
+
+    let mut config = ServeConfig::test_scale(dir.clone());
+    config.sim = sim;
+    let revived = DispatchServer::start(config).unwrap();
+    let recovery = revived.recovery();
+    assert!(recovery.warm_start_seq.is_some(), "{recovery:?}");
+    assert!(recovery.replayed > 0, "{recovery:?}");
+    let mut client = Client::connect(revived.addr()).unwrap();
+    assert_eq!(client.request("DIGEST").unwrap(), digest);
+    revived.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn torn_checkpoint_from_a_mid_write_crash_falls_back_and_recovers() {
     let dir = fresh_dir("tornckpt");
     let kp = KillPoints::new(KillMode::Report);
