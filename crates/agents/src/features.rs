@@ -49,7 +49,7 @@ impl FeatureExtractor {
     }
 
     /// Writes the state vector into a caller-owned `STATE_DIM` slice — the
-    /// allocation-free variant of [`state`](Self::state); [`state`] delegates
+    /// allocation-free variant of [`state`](Self::state); `state` delegates
     /// here, so the two are identical by construction.
     pub fn write_state(&self, obs: &impl ObservationView, ctx: &DecisionContext, out: &mut [f64]) {
         let day_frac = obs.now().day_fraction();

@@ -127,114 +127,6 @@ impl UrbanPartition {
         UrbanPartition { bounds, regions }
     }
 
-    /// Generates a regular `nx × ny` square-grid partition of `bounds`.
-    ///
-    /// The paper contrasts its irregular census partition against
-    /// "grid-based methods (e.g., square-grid and hexagonal-grid)"; this
-    /// constructor provides the square-grid alternative so the choice can
-    /// be ablated. Adjacency is 4-connected.
-    ///
-    /// # Panics
-    /// Panics if `nx` or `ny` is zero or `nx * ny` exceeds `u16::MAX`.
-    pub fn generate_grid(bounds: Rect, nx: usize, ny: usize) -> Self {
-        assert!(nx > 0 && ny > 0, "need at least one cell per axis");
-        assert!(nx * ny <= u16::MAX as usize, "too many cells");
-        let cell_w = bounds.width() / nx as f64;
-        let cell_h = bounds.height() / ny as f64;
-        let idx = |x: usize, y: usize| (y * nx + x) as u16;
-        let regions = (0..ny)
-            .flat_map(|y| (0..nx).map(move |x| (x, y)))
-            .map(|(x, y)| {
-                let centroid = Point::new(
-                    bounds.min.x + (x as f64 + 0.5) * cell_w,
-                    bounds.min.y + (y as f64 + 0.5) * cell_h,
-                );
-                let mut neighbors = Vec::with_capacity(4);
-                if x > 0 {
-                    neighbors.push(RegionId(idx(x - 1, y)));
-                }
-                if x + 1 < nx {
-                    neighbors.push(RegionId(idx(x + 1, y)));
-                }
-                if y > 0 {
-                    neighbors.push(RegionId(idx(x, y - 1)));
-                }
-                if y + 1 < ny {
-                    neighbors.push(RegionId(idx(x, y + 1)));
-                }
-                neighbors.sort();
-                Region {
-                    id: RegionId(idx(x, y)),
-                    centroid,
-                    area_km2: cell_w * cell_h,
-                    neighbors,
-                }
-            })
-            .collect();
-        UrbanPartition { bounds, regions }
-    }
-
-    /// Generates a hexagonal-grid partition: offset rows of hexagon centres
-    /// with 6-connected adjacency (the paper's other grid-based reference,
-    /// e.g. Uber H3-style cells).
-    ///
-    /// `nx` columns × `ny` rows of cells; odd rows are offset by half a
-    /// cell. Cell membership for [`Self::locate`] is nearest-centre, which
-    /// is exactly the hexagonal Voronoi of the centre lattice.
-    ///
-    /// # Panics
-    /// Panics if `nx` or `ny` is zero or `nx * ny` exceeds `u16::MAX`.
-    pub fn generate_hex(bounds: Rect, nx: usize, ny: usize) -> Self {
-        assert!(nx > 0 && ny > 0, "need at least one cell per axis");
-        assert!(nx * ny <= u16::MAX as usize, "too many cells");
-        let cell_w = bounds.width() / nx as f64;
-        let cell_h = bounds.height() / ny as f64;
-        let idx = |x: usize, y: usize| (y * nx + x) as u16;
-        let area = bounds.area() / (nx * ny) as f64;
-        let regions = (0..ny)
-            .flat_map(|y| (0..nx).map(move |x| (x, y)))
-            .map(|(x, y)| {
-                let offset = if y % 2 == 1 { 0.5 } else { 0.0 };
-                let centroid = Point::new(
-                    bounds.min.x + ((x as f64 + 0.5 + offset) * cell_w).min(bounds.width()),
-                    bounds.min.y + (y as f64 + 0.5) * cell_h,
-                );
-                // 6-connectivity: E/W plus the two nearer cells in each of
-                // the rows above and below (which two depends on row parity).
-                let mut neighbors = Vec::with_capacity(6);
-                if x > 0 {
-                    neighbors.push(RegionId(idx(x - 1, y)));
-                }
-                if x + 1 < nx {
-                    neighbors.push(RegionId(idx(x + 1, y)));
-                }
-                let diag: [isize; 2] = if y % 2 == 1 { [0, 1] } else { [-1, 0] };
-                for dy in [-1isize, 1] {
-                    let yy = y as isize + dy;
-                    if yy < 0 || yy >= ny as isize {
-                        continue;
-                    }
-                    for &dx in &diag {
-                        let xx = x as isize + dx;
-                        if xx < 0 || xx >= nx as isize {
-                            continue;
-                        }
-                        neighbors.push(RegionId(idx(xx as usize, yy as usize)));
-                    }
-                }
-                neighbors.sort();
-                neighbors.dedup();
-                Region {
-                    id: RegionId(idx(x, y)),
-                    centroid,
-                    area_km2: area,
-                    neighbors,
-                }
-            })
-            .collect();
-        UrbanPartition { bounds, regions }
-    }
-
     /// The city bounding box.
     #[inline]
     pub fn bounds(&self) -> Rect {
@@ -452,69 +344,6 @@ mod tests {
     #[should_panic(expected = "at least one region")]
     fn zero_regions_rejected() {
         let _ = UrbanPartition::generate(Rect::with_size(10.0, 10.0), 0, 1);
-    }
-
-    #[test]
-    fn grid_partition_has_regular_structure() {
-        let g = UrbanPartition::generate_grid(Rect::with_size(40.0, 20.0), 8, 4);
-        assert_eq!(g.len(), 32);
-        assert!(g.is_connected());
-        // Interior cells have 4 neighbours, corners 2.
-        assert_eq!(g.region(RegionId(0)).neighbors.len(), 2);
-        let interior = g.region(RegionId(9)); // (1,1)
-        assert_eq!(interior.neighbors.len(), 4);
-        // Uniform areas summing to the city area.
-        let total: f64 = g.regions().iter().map(|r| r.area_km2).sum();
-        assert!((total - 800.0).abs() < 1e-9);
-        assert!((g.region(RegionId(5)).area_km2 - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn grid_adjacency_is_symmetric() {
-        let g = UrbanPartition::generate_grid(Rect::with_size(10.0, 10.0), 5, 5);
-        for r in g.regions() {
-            for &n in &r.neighbors {
-                assert!(g.region(n).neighbors.contains(&r.id));
-            }
-        }
-    }
-
-    #[test]
-    fn grid_locate_finds_owning_cell() {
-        let g = UrbanPartition::generate_grid(Rect::with_size(10.0, 10.0), 2, 2);
-        assert_eq!(g.locate(Point::new(2.0, 2.0)), RegionId(0));
-        assert_eq!(g.locate(Point::new(8.0, 2.0)), RegionId(1));
-        assert_eq!(g.locate(Point::new(2.0, 8.0)), RegionId(2));
-        assert_eq!(g.locate(Point::new(8.0, 8.0)), RegionId(3));
-    }
-
-    #[test]
-    fn hex_partition_is_six_connected_in_the_interior() {
-        let h = UrbanPartition::generate_hex(Rect::with_size(40.0, 20.0), 8, 6);
-        assert_eq!(h.len(), 48);
-        assert!(h.is_connected());
-        // An interior cell has 6 neighbours.
-        let interior = h.region(RegionId((2 * 8 + 3) as u16));
-        assert_eq!(interior.neighbors.len(), 6, "{:?}", interior.neighbors);
-    }
-
-    #[test]
-    fn hex_adjacency_is_symmetric_and_irreflexive() {
-        let h = UrbanPartition::generate_hex(Rect::with_size(30.0, 15.0), 6, 5);
-        for r in h.regions() {
-            for &n in &r.neighbors {
-                assert_ne!(n, r.id);
-                assert!(h.region(n).neighbors.contains(&r.id), "{} -> {}", r.id, n);
-            }
-        }
-    }
-
-    #[test]
-    fn hex_odd_rows_are_offset() {
-        let h = UrbanPartition::generate_hex(Rect::with_size(10.0, 10.0), 2, 2);
-        let row0 = h.region(RegionId(0)).centroid.x;
-        let row1 = h.region(RegionId(2)).centroid.x;
-        assert!(row1 > row0, "odd row not offset: {row0} vs {row1}");
     }
 
     #[test]

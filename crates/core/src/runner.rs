@@ -201,58 +201,6 @@ impl Runner {
         (curve, report)
     }
 
-    /// [`Runner::train_guarded`] with the checkpoint history persisted to
-    /// disk: before training, the newest valid checkpoint in `vault` (if
-    /// any) is restored — a warm start after a crash — and every healthy
-    /// episode's checkpoint is written through the vault's atomic,
-    /// CRC-footered store in addition to the in-memory rollback copy.
-    /// Corrupt or torn files on disk are skipped during the warm start, so
-    /// a crash mid-write costs at most one checkpoint generation.
-    pub fn train_guarded_persistent(
-        &self,
-        trainee: &mut dyn GuardedTrainee,
-        watchdog: &WatchdogConfig,
-        vault: &mut crate::watchdog::CheckpointVault,
-    ) -> (Vec<f64>, WatchdogReport) {
-        if let Some((_, bytes)) = vault.latest_valid() {
-            let _ = trainee.restore(&bytes);
-        }
-        let mut report = WatchdogReport::default();
-        let mut curve = Vec::with_capacity(self.train_episodes as usize);
-        let mut last_good: Option<Vec<u8>> = None;
-        for episode in 0..self.train_episodes {
-            let seed = self.sim.seed + TRAIN_SEED_BASE + u64::from(episode);
-            let reward = self.run_once(trainee.policy(), seed).average_reward;
-            let healthy = reward.is_finite()
-                && reward.abs() <= watchdog.max_abs_reward
-                && trainee.policy().is_healthy();
-            if healthy {
-                curve.push(reward);
-                if let Some(bytes) = trainee.checkpoint() {
-                    // Disk persistence is best-effort: an unwritable vault
-                    // degrades to the in-memory behavior of train_guarded.
-                    let _ = vault.persist(&bytes);
-                    last_good = Some(bytes);
-                    report.checkpoints += 1;
-                }
-            } else if last_good
-                .as_ref()
-                .is_some_and(|bytes| trainee.restore(bytes))
-            {
-                report.restores += 1;
-                trainee
-                    .policy()
-                    .reseed_exploration(self.sim.seed ^ WATCHDOG_SEED_SALT ^ u64::from(episode));
-            } else {
-                report.unrecovered += 1;
-                trainee
-                    .policy()
-                    .reseed_exploration(self.sim.seed ^ WATCHDOG_SEED_SALT ^ u64::from(episode));
-            }
-        }
-        (curve, report)
-    }
-
     /// Trains (if applicable), freezes, and evaluates a method on the
     /// shared evaluation seed.
     pub fn train_and_evaluate(&self, method: &mut Method) -> (Vec<f64>, RunOutcome) {

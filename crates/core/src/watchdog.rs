@@ -273,25 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn guarded_training_persists_checkpoints_and_warm_starts() {
-        let dir = vault_dir("train");
-        let sim = SimConfig::test_scale();
-        let city = City::generate(sim.city.clone());
-        let runner = crate::Runner::new(sim.clone(), 1, 0.6);
-        let mut vault = CheckpointVault::open(&dir).unwrap();
-        let mut m = Method::build(MethodKind::FairMove, &city, &sim, 0.6);
-        let (_, report) =
-            runner.train_guarded_persistent(&mut m, &WatchdogConfig::default(), &mut vault);
-        assert_eq!(report.checkpoints, 1);
-        let (_, payload) = vault.latest_valid().expect("checkpoint on disk");
-        // The persisted bytes are a loadable FairMove snapshot: a fresh
-        // method warm-starts from them.
-        let mut fresh = Method::build(MethodKind::FairMove, &city, &sim, 0.6);
-        assert!(fresh.restore(&payload));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn report_totals_add_up() {
         let r = WatchdogReport {
             checkpoints: 5,

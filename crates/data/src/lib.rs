@@ -22,7 +22,6 @@
 //! * [`random`] — the small distribution toolbox (Poisson, log-normal,
 //!   exponential) the generators are built from.
 
-pub mod dataset;
 pub mod demand;
 pub mod energy;
 pub mod pricing;
@@ -31,7 +30,6 @@ pub mod revenue;
 pub mod schema;
 pub mod trips;
 
-pub use dataset::Dataset;
 pub use demand::{DemandModel, RegionArchetype};
 pub use energy::EnergyModel;
 pub use pricing::{ChargingPricing, PriceBand};

@@ -17,10 +17,8 @@ pub mod comparison;
 pub mod fairness;
 pub mod findings;
 pub mod stats;
-pub mod timeseries;
 
 pub use bootstrap::bootstrap_mean_ci;
 pub use comparison::{hourly_prct, hourly_prit, pipe, pipf, prct, prit, MethodReport};
 pub use fairness::{gini, jain_index, profit_fairness};
 pub use stats::Cdf;
-pub use timeseries::{KpiSample, KpiSeries};

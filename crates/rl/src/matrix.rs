@@ -9,7 +9,7 @@
 //! **bit-identical** for every thread count, not merely close.
 //! Small products stay on the caller's stack: spawning scoped threads costs
 //! more than a sub-millisecond multiply, so the auto entry points only fan
-//! out above [`PAR_MIN_FLOPS`] multiply-adds.
+//! out above `PAR_MIN_FLOPS` multiply-adds.
 
 use crate::mlp::Activation;
 use serde::{Deserialize, Serialize};
@@ -423,7 +423,7 @@ impl Matrix {
 
     /// `self · other` (`m×k · k×n → m×n`).
     ///
-    /// Fans rows across threads above [`PAR_MIN_FLOPS`]; bit-identical to
+    /// Fans rows across threads above `PAR_MIN_FLOPS`; bit-identical to
     /// the serial product either way.
     ///
     /// # Panics

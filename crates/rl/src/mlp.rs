@@ -228,7 +228,7 @@ impl Gradients {
     }
 }
 
-/// A feed-forward network of [`Dense`] layers. Load saved weights with
+/// A feed-forward network of dense layers. Load saved weights with
 /// [`crate::load_mlp`] or [`Mlp::import_params`].
 #[derive(Debug, Clone, Serialize)]
 pub struct Mlp {

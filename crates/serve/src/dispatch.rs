@@ -21,7 +21,7 @@ use crate::proto::parse_event;
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy, OraclePolicy};
 use fairmove_faults::{FaultPlan, FaultSpec, SlotWindow};
 use fairmove_sim::{
-    config_fingerprint, Action, DisplacementPolicy, Environment, ResilientPolicy, SimConfig,
+    config_fingerprint, fnv64, Action, DisplacementPolicy, Environment, ResilientPolicy, SimConfig,
     StayPolicy,
 };
 
@@ -38,16 +38,6 @@ const VERSION: u32 = 1;
 /// 10 GiB allocation, and as the event is journaled before it runs, warm
 /// restart replayed the same abort.
 const MAX_SURGE_FACTOR: f64 = 10.0;
-
-/// FNV-1a 64-bit, the digest clients use to compare two servers' states.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Result of one applied `STEP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

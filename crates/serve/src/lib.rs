@@ -28,13 +28,13 @@ pub mod degrade;
 pub mod dispatch;
 pub mod journal;
 pub mod proto;
-pub mod retry;
 pub mod server;
 
 pub use deadline::{CostModel, Deadline};
 pub use degrade::{Degrader, ServiceLevel};
-pub use dispatch::{fnv64, DispatchCore};
+pub use dispatch::DispatchCore;
+/// FNV-1a 64-bit, the digest clients use to compare two servers' states.
+pub use fairmove_sim::fnv64;
 pub use journal::Journal;
 pub use proto::{parse_request, Request};
-pub use retry::Backoff;
 pub use server::{Client, DispatchServer, RecoveryInfo, ServeConfig};

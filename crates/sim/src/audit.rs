@@ -3,7 +3,7 @@
 //!
 //! [`InvariantAuditor`] is installed into [`Environment::step_slot`] (on by
 //! default in debug builds, opt-in in release via
-//! [`Environment::enable_audit`]) and re-derives, from first principles,
+//! [`Environment::set_auditor`]) and re-derives, from first principles,
 //! every redundant piece of bookkeeping the simulator maintains for speed:
 //! ledger money conservation against the event logs, battery bounds, charger
 //! occupancy against the taxi state machine, the vacant-by-region matching

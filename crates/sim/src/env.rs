@@ -792,7 +792,7 @@ impl Environment {
     ///
     /// The feedback is rebuilt in place each slot and returned by reference
     /// (clone it to keep it past the next step) — together with the
-    /// [`StepScratch`] buffer reuse this makes steady-state stepping
+    /// `StepScratch` buffer reuse this makes steady-state stepping
     /// allocation-free, a property pinned by the counting-allocator tests
     /// in `fairmove-testkit`.
     pub fn step_slot(&mut self, policy: &mut dyn DisplacementPolicy) -> &SlotFeedback {
@@ -850,7 +850,7 @@ impl Environment {
         let slot_idx = slot_start.absolute_slot();
         let loss_prob = self.active_faults.command_loss_prob;
         for (ctx, &action) in decisions.iter().zip(actions.iter()) {
-            let mut action = self.sanitize(ctx, action);
+            let mut action = ctx.sanitize(action);
             // Dispatch-command loss: the displacement silently degrades to
             // the taxi's default behavior. Sampled by hashing
             // (seed, slot, taxi) so the draw never touches `self.rng`.
@@ -860,17 +860,7 @@ impl Environment {
                     .as_ref()
                     .is_some_and(|p| p.command_lost(slot_idx, ctx.taxi.0, loss_prob))
             {
-                action = if ctx.must_charge {
-                    // Empty only in a station-less world; Stay is the safe
-                    // degenerate default rather than an index panic.
-                    ctx.actions
-                        .charge_actions()
-                        .first()
-                        .copied()
-                        .unwrap_or(Action::Stay)
-                } else {
-                    Action::Stay
-                };
+                action = ctx.default_action();
                 self.fault_counters.commands_lost += 1;
                 if let Some(m) = &self.metrics {
                     m.fault_commands_lost.inc();
@@ -1147,24 +1137,6 @@ impl Environment {
         self.invariant_violations += 1;
         if let Some(m) = &self.metrics {
             m.invariants.inc();
-        }
-    }
-
-    /// Replaces inadmissible actions with a safe default.
-    fn sanitize(&self, ctx: &DecisionContext, action: Action) -> Action {
-        if ctx.actions.contains(action) {
-            action
-        } else if ctx.must_charge {
-            // A must-charge context always carries charge actions unless the
-            // world has no stations at all; degrade to Stay rather than
-            // index out of bounds.
-            ctx.actions
-                .charge_actions()
-                .first()
-                .copied()
-                .unwrap_or(Action::Stay)
-        } else {
-            Action::Stay
         }
     }
 

@@ -33,7 +33,6 @@ pub mod passenger;
 pub mod policy;
 pub mod resilient;
 pub mod shard;
-pub mod snapshot;
 pub mod station;
 pub mod taxi;
 pub mod trace;
@@ -49,8 +48,7 @@ pub use observation::{DecisionContext, ObservationView, SlotObservation, Working
 pub use policy::{DisplacementPolicy, StayPolicy};
 pub use resilient::{ResilienceStats, ResilientPolicy};
 pub use shard::policy::{GreedyDeficitPolicy, ShardPolicy, ShardPolicyFactory, StayShardPolicy};
-pub use shard::{FleetTotals, ShardMap, ShardedEnv, QUEUE_PATIENCE_MINUTES};
-pub use snapshot::FleetSnapshot;
+pub use shard::{fnv64, FleetTotals, ShardMap, ShardedEnv, QUEUE_PATIENCE_MINUTES};
 pub use taxi::{Taxi, TaxiId, TaxiState};
 pub use trace::{TraceEvent, TraceLog};
 

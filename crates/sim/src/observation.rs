@@ -8,7 +8,7 @@
 //! [`DecisionContext`] is the per-taxi local view plus its admissible
 //! action set.
 
-use crate::action::ActionSet;
+use crate::action::{Action, ActionSet};
 use crate::taxi::TaxiId;
 use fairmove_city::{RegionId, SimTime, TimeSlot};
 use serde::{Deserialize, Serialize};
@@ -160,18 +160,15 @@ impl ObservationView for SlotObservation {
 /// A centralized dispatcher's working view of the slot: the broadcast
 /// observation plus the assignments it has already committed this slot.
 ///
-/// Only the four count vectors a dispatcher mutates (vacant taxis per
-/// region, station free points / queue / inbound) are copy-on-write; the
-/// demand forecast, tariffs, and fairness aggregates stay borrowed from the
-/// base observation. This replaces the former whole-`SlotObservation` clone
-/// per `decide()` call — and the copy itself only happens for vectors a
-/// slot actually touches.
+/// Only the two count vectors a commit changes (vacant taxis per region,
+/// taxis inbound per station) are copy-on-write; everything else, station
+/// free points and queues included, is read straight from the base
+/// observation. The copy itself only happens for vectors a slot actually
+/// touches.
 #[derive(Debug, Clone)]
 pub struct WorkingObservation<'a> {
     base: &'a SlotObservation,
     vacant_per_region: Cow<'a, [u32]>,
-    free_points_per_station: Cow<'a, [u32]>,
-    queue_per_station: Cow<'a, [u32]>,
     inbound_per_station: Cow<'a, [u32]>,
 }
 
@@ -181,8 +178,6 @@ impl<'a> WorkingObservation<'a> {
         WorkingObservation {
             base,
             vacant_per_region: Cow::Borrowed(&base.vacant_per_region),
-            free_points_per_station: Cow::Borrowed(&base.free_points_per_station),
-            queue_per_station: Cow::Borrowed(&base.queue_per_station),
             inbound_per_station: Cow::Borrowed(&base.inbound_per_station),
         }
     }
@@ -190,16 +185,6 @@ impl<'a> WorkingObservation<'a> {
     /// Mutable vacant counts (first call copies the vector).
     pub fn vacant_per_region_mut(&mut self) -> &mut Vec<u32> {
         self.vacant_per_region.to_mut()
-    }
-
-    /// Mutable free-point counts (first call copies the vector).
-    pub fn free_points_per_station_mut(&mut self) -> &mut Vec<u32> {
-        self.free_points_per_station.to_mut()
-    }
-
-    /// Mutable queue lengths (first call copies the vector).
-    pub fn queue_per_station_mut(&mut self) -> &mut Vec<u32> {
-        self.queue_per_station.to_mut()
     }
 
     /// Mutable inbound counts (first call copies the vector).
@@ -212,8 +197,6 @@ impl<'a> WorkingObservation<'a> {
     pub fn to_observation(&self) -> SlotObservation {
         SlotObservation {
             vacant_per_region: self.vacant_per_region.to_vec(),
-            free_points_per_station: self.free_points_per_station.to_vec(),
-            queue_per_station: self.queue_per_station.to_vec(),
             inbound_per_station: self.inbound_per_station.to_vec(),
             ..self.base.clone()
         }
@@ -231,10 +214,10 @@ impl ObservationView for WorkingObservation<'_> {
         &self.vacant_per_region
     }
     fn free_points_per_station(&self) -> &[u32] {
-        &self.free_points_per_station
+        &self.base.free_points_per_station
     }
     fn queue_per_station(&self) -> &[u32] {
-        &self.queue_per_station
+        &self.base.queue_per_station
     }
     fn inbound_per_station(&self) -> &[u32] {
         &self.inbound_per_station
@@ -279,10 +262,38 @@ pub struct DecisionContext {
     pub actions: ActionSet,
 }
 
+impl DecisionContext {
+    /// The safe default action: the nearest charge action when charging is
+    /// forced, otherwise `Stay`. A must-charge context carries charge
+    /// actions unless the world has no stations at all; there the default
+    /// degrades to `Stay` rather than indexing out of bounds.
+    pub fn default_action(&self) -> Action {
+        if self.must_charge {
+            self.actions
+                .charge_actions()
+                .first()
+                .copied()
+                .unwrap_or(Action::Stay)
+        } else {
+            Action::Stay
+        }
+    }
+
+    /// `action` if it is admissible here, otherwise
+    /// [`Self::default_action`].
+    pub fn sanitize(&self, action: Action) -> Action {
+        if self.actions.contains(action) {
+            action
+        } else {
+            self.default_action()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Action;
+    use fairmove_city::StationId;
 
     #[test]
     fn supply_gap_combines_demand_and_supply() {
@@ -359,11 +370,11 @@ mod tests {
         // Reference path: clone and mutate the whole observation.
         let mut clone = base.clone();
         clone.vacant_per_region[1] += 1;
-        clone.queue_per_station[0] = 0;
+        clone.inbound_per_station[0] += 1;
         // COW path: same mutations through the working view.
         let mut work = WorkingObservation::new(&base);
         work.vacant_per_region_mut()[1] += 1;
-        work.queue_per_station_mut()[0] = 0;
+        work.inbound_per_station_mut()[0] += 1;
         let materialized = work.to_observation();
         assert_eq!(materialized.vacant_per_region, clone.vacant_per_region);
         assert_eq!(materialized.queue_per_station, clone.queue_per_station);
@@ -373,6 +384,37 @@ mod tests {
             ObservationView::supply_gap(&work, RegionId(1)),
             clone.supply_gap(RegionId(1))
         );
+    }
+
+    #[test]
+    fn sanitize_passes_admissible_actions_and_defaults_the_rest() {
+        let (near, far) = (StationId(3), StationId(7));
+        let ctx = |must_charge: bool, actions: ActionSet| DecisionContext {
+            taxi: TaxiId(0),
+            region: RegionId(0),
+            soc: if must_charge { 0.05 } else { 0.6 },
+            must_charge,
+            pe_standing: 40.0,
+            actions,
+        };
+        let free = ctx(false, ActionSet::full(&[RegionId(1)], &[near, far]));
+        let forced = ctx(true, ActionSet::charge_only(&[near, far]));
+        let to_neighbor = Action::MoveTo(RegionId(1));
+        // (context, proposed action, sanitized action)
+        let table = [
+            (&free, to_neighbor, to_neighbor),
+            (&free, Action::Charge(far), Action::Charge(far)),
+            (&forced, Action::Charge(far), Action::Charge(far)),
+            (&forced, Action::Stay, Action::Charge(near)),
+            (&forced, to_neighbor, Action::Charge(near)),
+            (&free, Action::MoveTo(RegionId(9)), Action::Stay),
+            (&free, Action::Charge(StationId(9)), Action::Stay),
+        ];
+        for (ctx, proposed, expected) in table {
+            assert_eq!(ctx.sanitize(proposed), expected, "{proposed:?}");
+        }
+        assert_eq!(free.default_action(), Action::Stay);
+        assert_eq!(forced.default_action(), Action::Charge(near));
     }
 
     #[test]

@@ -167,14 +167,7 @@ impl DisplacementPolicy for StayPolicy {
         out: &mut Vec<Action>,
     ) {
         out.clear();
-        out.extend(decisions.iter().map(|d| {
-            if d.must_charge {
-                // Nearest station is the first charge action.
-                d.actions.charge_actions()[0]
-            } else {
-                Action::Stay
-            }
-        }));
+        out.extend(decisions.iter().map(DecisionContext::default_action));
     }
 }
 

@@ -9,9 +9,10 @@
 //! `resilient.*` telemetry counters, so a bench run can report exactly how
 //! often a learned policy needed rescuing under faults.
 //!
-//! The default fallback is [`StayPolicy`] — the same safe default the
-//! environment's sanitizer uses — but any policy works (e.g. TBA as a
-//! smarter heuristic floor).
+//! The default fallback is [`StayPolicy`] — the same safe default
+//! ([`DecisionContext::default_action`]) that replaces an individual
+//! inadmissible action — but any policy works (e.g. TBA as a smarter
+//! heuristic floor).
 
 use crate::action::Action;
 use crate::env::SlotFeedback;
@@ -121,11 +122,7 @@ impl<P: DisplacementPolicy, F: DisplacementPolicy> DisplacementPolicy for Resili
         } else {
             for (ctx, action) in decisions.iter().zip(actions.iter_mut()) {
                 if !ctx.actions.contains(*action) {
-                    *action = if ctx.must_charge {
-                        ctx.actions.charge_actions()[0]
-                    } else {
-                        Action::Stay
-                    };
+                    *action = ctx.default_action();
                     self.stats.fallback_actions += 1;
                     if let Some(m) = &self.metrics {
                         m.fallback_actions.inc();

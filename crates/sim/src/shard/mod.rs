@@ -40,7 +40,7 @@
 //!    layout (see [`handoff`]).
 //!
 //! Thread-count invariance is inherited from
-//! [`ordered_map_threads`](fairmove_parallel::ordered_map_threads), which
+//! [`fairmove_parallel::ordered_map_threads`], which
 //! returns results in submission order regardless of which worker ran what.
 
 pub mod handoff;
@@ -446,7 +446,7 @@ impl Shard {
         let mut keep = Vec::with_capacity(n);
         for (i, &id) in vac.iter().enumerate() {
             let action = self.action_buf.get(i).copied().unwrap_or(Action::Stay);
-            match sanitize(&self.ctx_pool[i], action) {
+            match self.ctx_pool[i].sanitize(action) {
                 Action::Stay => keep.push(id),
                 Action::MoveTo(dest) => {
                     let km = ctx.city.region_driving_distance(rid, dest);
@@ -553,22 +553,6 @@ impl Shard {
                 redirects: 0,
             },
         ));
-    }
-}
-
-/// Replaces inadmissible actions with a safe default — byte-for-byte the
-/// reference environment's `sanitize` rule.
-fn sanitize(ctx: &DecisionContext, action: Action) -> Action {
-    if ctx.actions.contains(action) {
-        action
-    } else if ctx.must_charge {
-        ctx.actions
-            .charge_actions()
-            .first()
-            .copied()
-            .unwrap_or(Action::Stay)
-    } else {
-        Action::Stay
     }
 }
 
@@ -1101,8 +1085,10 @@ impl ShardedEnv {
     }
 }
 
-/// FNV-1a, kept local so `fairmove-sim` does not depend on the testkit.
-fn fnv64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over `bytes`: the dependency-free digest behind
+/// [`ShardedEnv::digest`], the dispatch server's state digest and the
+/// testkit's per-slot event summaries.
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -1212,6 +1198,12 @@ mod tests {
         assert_eq!(env.digest(), want, "stay policy diverged across layouts");
         // Stay keeps everyone home: no displacement moves at all.
         assert_eq!(oracle.totals().moves, 0);
+    }
+
+    #[test]
+    fn fnv64_matches_known_answers() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!    *count* must depend only on the inputs above — never on which shard
 //!    hosts the region or how many threads are stepping.
 //! 3. Exactly one action must be pushed per context, in context order. The
-//!    engine sanitizes inadmissible actions the same way the reference
-//!    environment does, so a policy bug degrades to `Stay` instead of
-//!    corrupting state.
+//!    engine sanitizes inadmissible actions with
+//!    [`DecisionContext::sanitize`], as the reference environment does, so
+//!    a policy bug degrades to the safe default instead of corrupting
+//!    state.
 
 use fairmove_city::{City, RegionId};
 use rand::rngs::StdRng;
@@ -87,13 +88,7 @@ impl ShardPolicy for StayShardPolicy {
         _rng: &mut StdRng,
         out: &mut Vec<Action>,
     ) {
-        for ctx in ctxs {
-            out.push(if ctx.must_charge {
-                first_charge(ctx)
-            } else {
-                Action::Stay
-            });
-        }
+        out.extend(ctxs.iter().map(DecisionContext::default_action));
     }
 }
 

@@ -11,11 +11,11 @@
 //! latency tail that lands inside one wide bucket.
 //!
 //! Layout: bucket 0 catches underflow (zero, negatives, and anything below
-//! [`MIN_VALUE`]); then [`OCTAVES`]`×64` buckets cover
+//! `MIN_VALUE`); then `OCTAVES × 64` buckets cover
 //! `[2^MIN_EXP, 2^MAX_EXP)`; the last bucket catches overflow and NaN
 //! (matching the fixed-bucket convention). The bucket index of a normal
 //! `f64` in range is read straight off its bit pattern — exponent bits
-//! select the octave, the top [`SUB_BITS`] mantissa bits the sub-bucket —
+//! select the octave, the top `SUB_BITS` mantissa bits the sub-bucket —
 //! so recording is a shift, a mask, and one relaxed `fetch_add`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +106,7 @@ impl HdrCell {
     }
 }
 
-/// A point-in-time sparse copy of one [`HdrCell`]: `(bucket index, count)`
+/// A point-in-time sparse copy of one `HdrCell`: `(bucket index, count)`
 /// pairs sorted by index. Empty for snapshots that predate the log-linear
 /// storage (hand-built fixtures, old baselines) — quantile queries then
 /// fall back to the fixed-bucket walk.

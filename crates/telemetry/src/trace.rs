@@ -18,7 +18,7 @@
 //!   aggregates ([`aggregate`]) are plain static atomic arrays indexed by
 //!   it, so closing a span is a handful of relaxed `fetch_add`s — no maps,
 //!   no locks, no allocation.
-//! * **Per-thread rings.** Each thread lazily registers one [`ThreadTrace`]
+//! * **Per-thread rings.** Each thread lazily registers one `ThreadTrace`
 //!   holding a fixed ring of [`RING_EVENTS`] completed events plus a small
 //!   open-span stack. Only the owning thread writes; the ring head is
 //!   published with `Release` after the event fields, so readers

@@ -16,17 +16,6 @@ pub fn f(x: f64) -> String {
     format!("{x:?}")
 }
 
-/// FNV-1a 64-bit over `bytes` — a dependency-free digest for per-slot
-/// event summaries.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Canonical text form of a full [`FleetLedger`]: per-taxi totals, then
 /// every trip and charge event (each line tagged with its completion slot).
 pub fn canon_ledger(ledger: &FleetLedger) -> String {

@@ -8,14 +8,13 @@
 //! |---|---|
 //! | `invariant-audit` | every per-slot simulator invariant (money conservation, battery bounds, charger occupancy, state machine, fault counters) |
 //! | `telemetry-inert` | telemetry-on ≡ telemetry-off bit-identical ledgers |
-//! | `empty-plan-identity` | an attached empty [`FaultPlan`] ≡ no plan at all |
+//! | `empty-plan-identity` | an attached empty [`FaultPlan`](fairmove_sim::FaultPlan) ≡ no plan at all |
 //! | `serial-parallel` | `ordered_map` over worker threads ≡ the serial map |
 //! | `permutation-invariance` | fleet metrics are taxi-id-order invariant |
 //! | `alpha-objective` | Eq. 4 reward is affine in α; α = 1 ignores fairness, α = 0 ignores profit |
 //! | `batched-vs-serial-inference` | the CMA2C dispatcher (cached features updated per commit, shared-prefix forward) ≡ a naive serial reference (`ReferenceCma2c`) on both engines: bit-identical minute-engine ledgers, and equal sharded digests and decision counts on the scenario's (shards, threads) layout; stacked actor forward ≡ per-row forwards at 1/2/4 matmul workers |
 //! | `shard-differential-fidelity` | sharded engine bit-identical across the scenario's (shards, threads) grid; fleet conserved; SoC bounded; queue waits within patience; demand totals within sampling noise of the minute engine (see [`crate::differential`]) |
 
-use crate::canon::fnv64;
 use crate::scenario::{PlanMode, RunArtifacts, Scenario, TestRng};
 use fairmove_agents::features::{FeatureExtractor, SA_DIM};
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy, Cma2cShardPolicy};
@@ -24,7 +23,7 @@ use fairmove_metrics::{gini, profit_fairness};
 use fairmove_rl::loss::softmax;
 use fairmove_rl::{Activation, Matrix, Mlp};
 use fairmove_sim::{
-    Action, DecisionContext, DisplacementPolicy, Environment, FleetLedger, InvariantAuditor,
+    fnv64, Action, DecisionContext, DisplacementPolicy, Environment, FleetLedger, InvariantAuditor,
     ShardPolicy, ShardedEnv, SlotObservation, TaxiId, Telemetry, WorkingObservation,
 };
 use rand::rngs::StdRng;
