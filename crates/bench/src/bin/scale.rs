@@ -19,7 +19,8 @@
 //!   sharded engine).
 //! - `--check-baseline [path]`: after writing the report, compare it against
 //!   the checked-in baseline (default
-//!   `crates/bench/baselines/BENCH_scale_baseline.json`): every report row
+//!   `crates/bench/baselines/BENCH_scale_baseline.json` of the source tree
+//!   the binary was built from, whatever the working directory): every report row
 //!   with a baseline row at the same `(scale, policy, slots)` must have an
 //!   *exactly equal* decision count — a cross-machine determinism gate.
 //!   Exits non-zero on mismatch or when a `--paper` row has no baseline.
@@ -49,6 +50,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const ROUNDS: usize = 3;
 /// Unmeasured slots stepped first so pooled buffers reach steady state.
 const WARMUP: usize = 12;
+/// The checked-in baseline `--check-baseline` reads when given no path,
+/// resolved at build time so the gate works from any working directory.
+const DEFAULT_BASELINE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/baselines/BENCH_scale_baseline.json"
+);
 
 fn run_scale(scale: Scale, rounds: usize, warmup: usize) -> Vec<ScaleResult> {
     // Test's 1-day horizon only fits 3 rounds at 36 slots; the longer
@@ -164,10 +171,10 @@ fn main() {
                 }
             }
             "--check-baseline" => {
-                baseline_check =
-                    Some(args.next_if(|v| !v.starts_with("--")).unwrap_or_else(|| {
-                        "crates/bench/baselines/BENCH_scale_baseline.json".into()
-                    }))
+                baseline_check = Some(
+                    args.next_if(|v| !v.starts_with("--"))
+                        .unwrap_or_else(|| DEFAULT_BASELINE.into()),
+                )
             }
             "--out" => {
                 out_path = args

@@ -21,8 +21,8 @@ use crate::proto::parse_event;
 use fairmove_agents::{Cma2cConfig, Cma2cPolicy, OraclePolicy};
 use fairmove_faults::{FaultPlan, FaultSpec, SlotWindow};
 use fairmove_sim::{
-    config_fingerprint, fnv64, Action, DisplacementPolicy, Environment, ResilientPolicy, SimConfig,
-    StayPolicy,
+    config_fingerprint, fnv64_continue, Action, DisplacementPolicy, Environment, ResilientPolicy,
+    SimConfig, StayPolicy, FNV64_OFFSET,
 };
 
 const MAGIC: &[u8; 8] = b"FMSRVCK1";
@@ -118,15 +118,17 @@ impl DispatchCore {
     /// Digest over the *entire* replayable state: environment image plus
     /// policy RNG. Two cores with equal digests will answer every future
     /// request identically (given identical inputs).
+    ///
+    /// The environment image is hashed as it is encoded, never built: the
+    /// digest is FNV-1a over `save_state() ‖ rng key ‖ counter ‖ index`.
     pub fn digest(&self) -> u64 {
-        let mut bytes = self.env.save_state();
+        let mut h = self.env.hash_state(FNV64_OFFSET);
         let (key, counter, index) = self.policy.rng_state();
         for k in key {
-            bytes.extend_from_slice(&k.to_le_bytes());
+            h = fnv64_continue(h, &k.to_le_bytes());
         }
-        bytes.extend_from_slice(&counter.to_le_bytes());
-        bytes.extend_from_slice(&index.to_le_bytes());
-        fnv64(&bytes)
+        h = fnv64_continue(h, &counter.to_le_bytes());
+        fnv64_continue(h, &index.to_le_bytes())
     }
 
     /// The fleet ledger (for tests asserting bitwise recovery).
@@ -344,9 +346,13 @@ impl DispatchCore {
         }
         out.extend_from_slice(&counter.to_le_bytes());
         out.extend_from_slice(&index.to_le_bytes());
-        let env_blob = self.env.save_state();
-        out.extend_from_slice(&(env_blob.len() as u64).to_le_bytes());
-        out.extend_from_slice(&env_blob);
+        // The environment image, length-prefixed: encoded in place, then
+        // its length patched in.
+        let len_at = out.len();
+        out.extend_from_slice(&0u64.to_le_bytes());
+        self.env.save_state_into(&mut out);
+        let env_len = (out.len() - len_at - 8) as u64;
+        out[len_at..len_at + 8].copy_from_slice(&env_len.to_le_bytes());
         out
     }
 
@@ -497,6 +503,40 @@ mod tests {
         }
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.ledger(), b.ledger());
+    }
+
+    #[test]
+    fn digest_and_checkpoint_carry_the_environment_image_unchanged() {
+        // The digest hashes the environment image as it is encoded, and the
+        // checkpoint encodes it in place. Both must equal the materialized
+        // form: FNV-1a over `save_state() ‖ rng`, and a length-prefixed
+        // `save_state()` closing the payload.
+        let mut core = DispatchCore::new(config(), 0.6);
+        for payload in [
+            "STEP F",
+            "EVENT surge 3 1.5 1 6",
+            "EVENT outage 2 1 4",
+            "DECIDE F",
+            "STEP F",
+            "DECIDE S",
+            "STEP G",
+        ] {
+            core.apply_payload(payload).unwrap();
+        }
+        let image = core.env.save_state();
+        let mut bytes = image.clone();
+        let (key, counter, index) = core.policy.rng_state();
+        for k in key {
+            bytes.extend_from_slice(&k.to_le_bytes());
+        }
+        bytes.extend_from_slice(&counter.to_le_bytes());
+        bytes.extend_from_slice(&index.to_le_bytes());
+        assert_eq!(core.digest(), fairmove_sim::fnv64(&bytes));
+
+        let payload = core.checkpoint();
+        let (head, tail) = payload.split_at(payload.len() - image.len());
+        assert_eq!(tail, image.as_slice());
+        assert_eq!(head[head.len() - 8..], (image.len() as u64).to_le_bytes());
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! journal/checkpoint discipline in [`crate::journal`] and
 //! [`crate::dispatch`].
 //!
+//! Every line, reply or request, goes out in one write on a `TCP_NODELAY`
+//! socket: a line split over two writes waits out the peer's delayed ACK
+//! (~40 ms on Linux) before its second half is sent. The server owns its
+//! connection threads: [`DispatchServer::shutdown`] (and `Drop`) closes
+//! every open connection and joins its handler, so no server thread
+//! outlives the server.
+//!
 //! Backpressure is explicit: admission is a bounded queue; when it is full
 //! the handler answers `ERR 429 shed` immediately instead of queueing
 //! unboundedly, and when a request carries a deadline the handler rejects
@@ -28,11 +35,12 @@ use fairmove_sim::SimConfig;
 use fairmove_telemetry::server::{serve_metrics, MetricsServer};
 use fairmove_telemetry::{buckets, Telemetry};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maximum request-line length; longer lines are rejected and the
@@ -107,10 +115,16 @@ enum Job {
     Client {
         request: Request,
         deadline: Option<Deadline>,
-        reply: mpsc::Sender<String>,
+        reply: Sender<String>,
     },
     /// Graceful shutdown: final checkpoint, then exit.
     Shutdown,
+}
+
+/// Answers a request and drops the worker's end of its reply channel at
+/// once, so the waiting handler, which allocated the channel, frees it.
+fn answer(reply: Sender<String>, line: String) {
+    let _ = reply.send(line);
 }
 
 struct Shared {
@@ -123,14 +137,22 @@ struct Shared {
     telemetry: Telemetry,
 }
 
+/// A connection-handler thread and a handle on its socket, so the server
+/// can close the socket under the handler and join it.
+struct Connection {
+    stream: TcpStream,
+    handler: JoinHandle<()>,
+}
+
 /// A running dispatch server. See the module docs.
 pub struct DispatchServer {
     addr: SocketAddr,
     metrics: Option<MetricsServer>,
     shared: Arc<Shared>,
     recovery: RecoveryInfo,
-    worker: Option<std::thread::JoinHandle<()>>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    worker: Option<JoinHandle<()>>,
+    /// Returns the connections still tracked when it exits.
+    acceptor: Option<JoinHandle<Vec<Connection>>>,
 }
 
 impl DispatchServer {
@@ -196,9 +218,17 @@ impl DispatchServer {
         let mut degrader = Degrader::new(&telemetry, config.demote_after, config.promote_after);
         let step_budget = config.step_budget;
         let checkpoint_every = config.checkpoint_every.max(1);
+        // The worker runs before any other server thread starts, and exits
+        // after all of them (`stop_threads`). glibc gives a new thread the
+        // allocator arena of the thread that exited last, so a server
+        // started after another one runs its worker in the old worker's
+        // arena: each restart reuses the worker's heap instead of leaving a
+        // freed copy of it resident in another arena.
+        let (running_tx, running) = mpsc::sync_channel(1);
         let worker = std::thread::Builder::new()
             .name("fairmove-serve-worker".into())
             .spawn(move || {
+                let _ = running_tx.send(());
                 let s = &worker_shared;
                 let request_hist = s
                     .telemetry
@@ -234,7 +264,7 @@ impl DispatchServer {
                             if d.expired() {
                                 shed_deadline.inc();
                                 degrader.observe(true, core.healthy());
-                                let _ = reply.send("ERR 503 deadline expired_in_queue".into());
+                                answer(reply, "ERR 503 deadline expired_in_queue".into());
                                 continue;
                             }
                         }
@@ -316,7 +346,7 @@ impl DispatchServer {
                         }
                         Request::Quit => continue, // handled connection-side
                     };
-                    let _ = reply.send(response);
+                    answer(reply, response);
 
                     if core.applied_seq().saturating_sub(last_ckpt_at) >= checkpoint_every {
                         match checkpoint(&mut vault, &core, &kill_points) {
@@ -332,26 +362,43 @@ impl DispatchServer {
                 s.worker_dead.store(true, Ordering::SeqCst);
             })
             .expect("spawn dispatch worker");
+        let _ = running.recv();
 
         // -- acceptor ----------------------------------------------------
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
             .name("fairmove-serve-accept".into())
             .spawn(move || {
+                let mut connections: Vec<Connection> = Vec::new();
                 for stream in listener.incoming() {
                     if acceptor_shared.stop.load(Ordering::SeqCst)
                         || acceptor_shared.worker_dead.load(Ordering::SeqCst)
                     {
                         break;
                     }
+                    connections.retain(|c| !c.handler.is_finished());
                     let Ok(stream) = stream else { continue };
+                    let Ok(handle) = stream.try_clone() else {
+                        continue;
+                    };
                     let conn_shared = Arc::clone(&acceptor_shared);
-                    let _ = std::thread::Builder::new()
+                    if let Ok(handler) = std::thread::Builder::new()
                         .name("fairmove-serve-conn".into())
                         .spawn(move || {
-                            let _ = handle_connection(stream, &conn_shared);
+                            let _ = handle_connection(&stream, &conn_shared);
+                            // The acceptor's handle keeps the socket open
+                            // until it prunes this handler: close it now, so
+                            // the client reads EOF when the handler is done.
+                            let _ = stream.shutdown(Shutdown::Both);
+                        })
+                    {
+                        connections.push(Connection {
+                            stream: handle,
+                            handler,
                         });
+                    }
                 }
+                connections
             })
             .expect("spawn dispatch acceptor");
 
@@ -404,10 +451,10 @@ impl DispatchServer {
         true
     }
 
-    /// Graceful shutdown: stop accepting, write a final checkpoint, join
+    /// Graceful shutdown: stop accepting, let each connection finish the
+    /// request it is serving and close it, write a final checkpoint, join
     /// every thread.
     pub fn shutdown(mut self) {
-        let _ = self.shared.queue.send(Job::Shutdown);
         self.stop_threads();
     }
 
@@ -415,11 +462,26 @@ impl DispatchServer {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Wake the acceptor out of `accept()`.
         let _ = TcpStream::connect(self.addr);
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
+        let connections = self
+            .acceptor
+            .take()
+            .and_then(|a| a.join().ok())
+            .unwrap_or_default();
+        // No handler is added now. Shutting each socket's read side ends a
+        // blocked read at once, so no join waits out a read timeout; a
+        // handler still waiting on the worker gets its reply out first.
+        for c in &connections {
+            let _ = c.stream.shutdown(Shutdown::Read);
         }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        for c in connections {
+            let _ = c.handler.join();
+        }
+        // The worker goes last: it answers what the handlers waited on, and
+        // exiting last hands its arena to the next server's worker (see
+        // `start`).
+        if let Some(w) = self.worker.take() {
+            let _ = self.shared.queue.send(Job::Shutdown);
+            let _ = w.join();
         }
         if let Some(m) = self.metrics.take() {
             m.shutdown();
@@ -430,7 +492,6 @@ impl DispatchServer {
 impl Drop for DispatchServer {
     fn drop(&mut self) {
         if self.worker.is_some() || self.acceptor.is_some() {
-            let _ = self.shared.queue.send(Job::Shutdown);
             self.stop_threads();
         }
     }
@@ -469,9 +530,11 @@ fn checkpoint(vault: &mut CheckpointVault, core: &DispatchCore, kp: &KillPoints)
 
 /// Reads request lines off one client connection; see the module docs for
 /// the shedding and slow-loris rules.
-fn handle_connection(mut stream: TcpStream, s: &Arc<Shared>) -> io::Result<()> {
+fn handle_connection(stream: &TcpStream, s: &Arc<Shared>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     let mut line = String::new();
     let mut line_started: Option<Instant> = None;
     loop {
@@ -484,9 +547,11 @@ fn handle_connection(mut stream: TcpStream, s: &Arc<Shared>) -> io::Result<()> {
                 if trimmed.is_empty() {
                     continue;
                 }
-                match serve_line(&trimmed, &mut stream, s)? {
-                    Flow::Continue => {}
-                    Flow::Close => return Ok(()),
+                match serve_line(&trimmed, &mut writer, s)? {
+                    Flow::Continue if !s.stop.load(Ordering::SeqCst) => {}
+                    // Stopping: the request in hand was answered; take no
+                    // more, even ones the client already sent.
+                    Flow::Continue | Flow::Close => return Ok(()),
                 }
             }
             Err(e)
@@ -497,21 +562,21 @@ fn handle_connection(mut stream: TcpStream, s: &Arc<Shared>) -> io::Result<()> {
                 if !line.is_empty() {
                     let started = *line_started.get_or_insert_with(Instant::now);
                     if started.elapsed() >= LINE_DEADLINE {
-                        let _ = stream.write_all(b"ERR 408 line_too_slow\n");
+                        let _ = writer.write_all(b"ERR 408 line_too_slow\n");
                         return Ok(());
                     }
                 } else {
                     line_started = None;
                 }
                 if line.len() > MAX_LINE_BYTES {
-                    let _ = stream.write_all(b"ERR 400 line_too_long\n");
+                    let _ = writer.write_all(b"ERR 400 line_too_long\n");
                     return Ok(());
                 }
             }
             Err(_) => return Ok(()),
         }
         if line.len() > MAX_LINE_BYTES {
-            let _ = stream.write_all(b"ERR 400 line_too_long\n");
+            let _ = writer.write_all(b"ERR 400 line_too_long\n");
             return Ok(());
         }
     }
@@ -522,7 +587,7 @@ enum Flow {
     Close,
 }
 
-fn serve_line(trimmed: &str, stream: &mut TcpStream, s: &Arc<Shared>) -> io::Result<Flow> {
+fn serve_line(trimmed: &str, stream: &mut impl Write, s: &Arc<Shared>) -> io::Result<Flow> {
     let request = match parse_request(trimmed) {
         Ok(r) => r,
         Err(why) => {
@@ -581,9 +646,16 @@ fn serve_line(trimmed: &str, stream: &mut TcpStream, s: &Arc<Shared>) -> io::Res
         .map(|d| d.remaining() + Duration::from_secs(5))
         .unwrap_or(Duration::from_secs(60));
     match reply_rx.recv_timeout(wait) {
-        Ok(response) => {
+        Ok(mut response) => {
+            // Returns once the worker has dropped its end, which it does
+            // right after sending: this thread then frees the channel it
+            // allocated. glibc caches a chunk in the freeing thread, so a
+            // worker freeing handler memory would grow its own buffers from
+            // it inside the handler's arena, and each restart would leave a
+            // freed worker-sized heap resident in another arena.
+            let _ = reply_rx.recv();
+            response.push('\n');
             stream.write_all(response.as_bytes())?;
-            stream.write_all(b"\n")?;
             Ok(Flow::Continue)
         }
         Err(_) => {
@@ -598,21 +670,27 @@ fn serve_line(trimmed: &str, stream: &mut TcpStream, s: &Arc<Shared>) -> io::Res
 pub struct Client {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The outgoing line, reused so each request is one write.
+    out: Vec<u8>,
 }
 
 impl Client {
     /// Connects to a dispatch server.
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { stream, reader })
+        Ok(Client {
+            stream,
+            reader,
+            out: Vec::new(),
+        })
     }
 
     /// Sends one request line and reads one response line.
     pub fn request(&mut self, line: &str) -> io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        self.send(line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -626,7 +704,14 @@ impl Client {
 
     /// Sends a request without waiting for any response (for `KILL`).
     pub fn fire_and_forget(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")
+        self.send(line)
+    }
+
+    /// Writes `line` and its `\n` in one write.
+    fn send(&mut self, line: &str) -> io::Result<()> {
+        self.out.clear();
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        self.stream.write_all(&self.out)
     }
 }

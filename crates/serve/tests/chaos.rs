@@ -4,7 +4,7 @@
 
 use fairmove_faults::{KillMode, KillPoints};
 use fairmove_serve::{Client, DispatchServer, ServeConfig};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -352,5 +352,59 @@ fn shed_counters_and_ladder_gauge_are_scrapable_over_metrics() {
         "no shed counter in:\n{body}"
     );
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_round_trips_do_not_wait_for_a_delayed_ack() {
+    // A line split over two writes holds its second half until the peer
+    // ACKs the first, and Linux delays that ACK by at least 40 ms: every
+    // round trip would then take 40 ms or more, whatever the work.
+    let dir = fresh_dir("nodelay");
+    let server = DispatchServer::start(ServeConfig::test_scale(dir.clone())).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut round_trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            let response = client.request("HEALTH").unwrap();
+            assert!(response.starts_with("OK health"), "{response}");
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median HEALTH round trip {median:?}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_closes_idle_connections_and_joins_their_threads() {
+    // An idle client holds its connection open. Shutdown must close it
+    // under the handler and join the handler thread, not wait for the
+    // client to leave.
+    let dir = fresh_dir("idle");
+    let server = DispatchServer::start(ServeConfig::test_scale(dir.clone())).unwrap();
+    let mut idle = TcpStream::connect(server.addr()).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    idle.write_all(b"HEALTH\n").unwrap();
+    let mut reader = BufReader::new(idle.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("OK health"), "{line}");
+
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} with an idle client connected",
+        started.elapsed()
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "read {line:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

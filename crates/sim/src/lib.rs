@@ -48,7 +48,9 @@ pub use observation::{DecisionContext, ObservationView, SlotObservation, Working
 pub use policy::{DisplacementPolicy, StayPolicy};
 pub use resilient::{ResilienceStats, ResilientPolicy};
 pub use shard::policy::{GreedyDeficitPolicy, ShardPolicy, ShardPolicyFactory, StayShardPolicy};
-pub use shard::{fnv64, FleetTotals, ShardMap, ShardedEnv, QUEUE_PATIENCE_MINUTES};
+pub use shard::{
+    fnv64, fnv64_continue, FleetTotals, ShardMap, ShardedEnv, FNV64_OFFSET, QUEUE_PATIENCE_MINUTES,
+};
 pub use taxi::{Taxi, TaxiId, TaxiState};
 pub use trace::{TraceEvent, TraceLog};
 

@@ -1089,7 +1089,17 @@ impl ShardedEnv {
 /// [`ShardedEnv::digest`], the dispatch server's state digest and the
 /// testkit's per-slot event summaries.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv64_continue(FNV64_OFFSET, bytes)
+}
+
+/// The FNV-1a 64-bit offset basis: [`fnv64`] of no bytes.
+pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash `h` over `bytes`, so a byte stream can
+/// be hashed piece by piece without being collected:
+/// `fnv64_continue(fnv64(a), b) == fnv64(a ‖ b)`.
+#[inline]
+pub fn fnv64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -1204,6 +1214,7 @@ mod tests {
     fn fnv64_matches_known_answers() {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64_continue(fnv64(b"fair"), b"move"), fnv64(b"fairmove"));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use super::{ChargeContext, Environment, FaultCounters, PendingTrip};
 use crate::config::SimConfig;
 use crate::ledger::{ChargeEvent, TaxiLedger, TripEvent};
 use crate::observation::SlotObservation;
+use crate::shard::{fnv64, fnv64_continue};
 use crate::taxi::{Taxi, TaxiId, TaxiState};
 use fairmove_city::{RegionId, SimTime, StationId, TimeSlot};
 use fairmove_data::PassengerRequest;
@@ -75,38 +76,28 @@ impl std::error::Error for StateError {}
 /// stable fingerprint that changes whenever any field that shapes the world
 /// does.
 pub fn config_fingerprint(config: &SimConfig) -> u64 {
-    let text = format!("{config:?}");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv64(format!("{config:?}").as_bytes())
 }
 
 // ---------------------------------------------------------------------------
 // Little-endian encoder / decoder
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    out: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Enc { out: Vec::new() }
-    }
+/// The little-endian encoder. Its bytes go wherever `put` sends them: into
+/// a buffer, or straight into a hash.
+trait Enc {
+    fn put(&mut self, bytes: &[u8]);
     fn u8(&mut self, v: u8) {
-        self.out.push(v);
+        self.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -122,6 +113,21 @@ impl Enc {
                 self.u16(x);
             }
         }
+    }
+}
+
+impl Enc for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A running FNV-1a hash of everything put so far.
+struct Fnv(u64);
+
+impl Enc for Fnv {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 = fnv64_continue(self.0, bytes);
     }
 }
 
@@ -197,7 +203,7 @@ impl<'a> Dec<'a> {
 // Per-type helpers
 // ---------------------------------------------------------------------------
 
-fn put_rng(e: &mut Enc, state: ([u32; 8], u64, u32)) {
+fn put_rng(e: &mut impl Enc, state: ([u32; 8], u64, u32)) {
     for w in state.0 {
         e.u32(w);
     }
@@ -213,7 +219,7 @@ fn get_rng(d: &mut Dec) -> Result<([u32; 8], u64, u32), StateError> {
     Ok((key, d.u64()?, d.u32()?))
 }
 
-fn put_taxi(e: &mut Enc, t: &Taxi) {
+fn put_taxi(e: &mut impl Enc, t: &Taxi) {
     e.u32(t.id.0);
     match t.state {
         TaxiState::Vacant { region } => {
@@ -301,7 +307,7 @@ fn get_taxi(d: &mut Dec) -> Result<Taxi, StateError> {
     })
 }
 
-fn put_request(e: &mut Enc, r: &PassengerRequest) {
+fn put_request(e: &mut impl Enc, r: &PassengerRequest) {
     e.u64(r.id);
     e.u16(r.origin.0);
     e.u16(r.destination.0);
@@ -323,7 +329,7 @@ fn get_request(d: &mut Dec) -> Result<PassengerRequest, StateError> {
     })
 }
 
-fn put_trip_event(e: &mut Enc, t: &TripEvent) {
+fn put_trip_event(e: &mut impl Enc, t: &TripEvent) {
     e.u32(t.taxi.0);
     e.u32(t.pickup_at.0);
     e.u32(t.dropoff_at.0);
@@ -349,7 +355,7 @@ fn get_trip_event(d: &mut Dec) -> Result<TripEvent, StateError> {
     })
 }
 
-fn put_charge_event(e: &mut Enc, c: &ChargeEvent) {
+fn put_charge_event(e: &mut impl Enc, c: &ChargeEvent) {
     e.u32(c.taxi.0);
     e.u16(c.station.0);
     e.u32(c.decided_at.0);
@@ -371,7 +377,7 @@ fn get_charge_event(d: &mut Dec) -> Result<ChargeEvent, StateError> {
     })
 }
 
-fn put_observation(e: &mut Enc, o: &SlotObservation) {
+fn put_observation(e: &mut impl Enc, o: &SlotObservation) {
     e.u32(o.now.0);
     e.u16(o.slot.0);
     for v in [
@@ -438,8 +444,27 @@ impl Environment {
     /// Serializes the full mutable simulation state (see module docs). Call
     /// between slots — mid-slot transients are not part of the image.
     pub fn save_state(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.out.extend_from_slice(MAGIC);
+        let mut out = Vec::new();
+        self.save_state_into(&mut out);
+        out
+    }
+
+    /// Appends the [`Environment::save_state`] image to `out`.
+    pub fn save_state_into(&self, out: &mut Vec<u8>) {
+        self.encode_state(out);
+    }
+
+    /// Continues the FNV-1a hash `h` over the [`Environment::save_state`]
+    /// image without building it:
+    /// `env.hash_state(h) == fnv64_continue(h, &env.save_state())`.
+    pub fn hash_state(&self, h: u64) -> u64 {
+        let mut fnv = Fnv(h);
+        self.encode_state(&mut fnv);
+        fnv.0
+    }
+
+    fn encode_state(&self, e: &mut impl Enc) {
+        e.put(MAGIC);
         e.u32(VERSION);
         e.u64(config_fingerprint(&self.config));
         e.u32(self.now.0);
@@ -447,7 +472,7 @@ impl Environment {
         // Taxis.
         e.len(self.taxis.len());
         for t in &self.taxis {
-            put_taxi(&mut e, t);
+            put_taxi(e, t);
         }
 
         // Stations, including exact queue order.
@@ -468,7 +493,7 @@ impl Environment {
         for q in &self.pool.queues {
             e.len(q.len());
             for r in q {
-                put_request(&mut e, r);
+                put_request(e, r);
             }
         }
         e.u64(self.pool.expired);
@@ -487,11 +512,11 @@ impl Environment {
         }
         e.len(self.ledger.trips.len());
         for t in &self.ledger.trips {
-            put_trip_event(&mut e, t);
+            put_trip_event(e, t);
         }
         e.len(self.ledger.charges.len());
         for c in &self.ledger.charges {
-            put_charge_event(&mut e, c);
+            put_charge_event(e, c);
         }
         e.u64(self.ledger.expired_requests);
 
@@ -525,7 +550,7 @@ impl Environment {
                 None => e.u8(0),
                 Some(p) => {
                     e.u8(1);
-                    put_request(&mut e, &p.request);
+                    put_request(e, &p.request);
                     e.f64(p.approach_km);
                     e.u32(p.pickup_at.0);
                     e.u32(p.cruise_minutes);
@@ -555,9 +580,9 @@ impl Environment {
         }
 
         // Both RNG streams.
-        put_rng(&mut e, self.rng.state());
+        put_rng(e, self.rng.state());
         let (tg_rng, tg_next_id) = self.trip_gen.state();
-        put_rng(&mut e, tg_rng);
+        put_rng(e, tg_rng);
         e.u64(tg_next_id);
 
         // Active faults: station-outage recovery diffs against these.
@@ -584,7 +609,7 @@ impl Environment {
         // Observation history (staleness-window backlog), oldest first.
         e.len(self.obs_history.len());
         for o in &self.obs_history {
-            put_observation(&mut e, o);
+            put_observation(e, o);
         }
 
         // Tallies.
@@ -596,8 +621,6 @@ impl Environment {
         e.u64(self.fault_counters.obs_dropped_regions);
         e.u64(self.fault_counters.commands_lost);
         e.u64(self.invariant_violations);
-
-        e.out
     }
 
     /// Rebuilds an environment from a [`Environment::save_state`] image.
@@ -1048,5 +1071,23 @@ mod tests {
         let image = env.save_state();
         let restored = Environment::restore_state(config(), &image).unwrap();
         assert_eq!(image, restored.save_state());
+    }
+
+    #[test]
+    fn hashing_the_image_equals_hashing_its_bytes() {
+        let mut env = Environment::new(config());
+        let mut policy = StayPolicy;
+        step_n(&mut env, &mut policy, 5);
+        let image = env.save_state();
+        assert_eq!(env.hash_state(crate::FNV64_OFFSET), crate::fnv64(&image));
+        // Continuing a hash, and appending to a buffer, both pick up where
+        // the earlier bytes left off.
+        let mut prefixed = b"prefix".to_vec();
+        env.save_state_into(&mut prefixed);
+        assert_eq!(&prefixed[6..], image.as_slice());
+        assert_eq!(
+            env.hash_state(crate::fnv64(b"prefix")),
+            crate::fnv64(&prefixed)
+        );
     }
 }
