@@ -4,9 +4,10 @@
 //! [`Scale`]: warmup slots to reach the pooled-buffer steady state, then
 //! `rounds` timed blocks of `slots_per_round` slots each, reporting the
 //! median round as one [`ScaleResult`]. Heap allocations are sampled with
-//! [`fairmove_testkit::allocs_in`], which only observes anything when the
-//! calling binary installs [`fairmove_testkit::CountingAlloc`] as its
-//! global allocator — without it `allocs_per_slot` reads 0.0 and the
+//! [`fairmove_testkit::allocs_in_process`], which counts every thread (the
+//! sharded engine steps shards on pool helpers) but only observes anything
+//! when the calling binary installs [`fairmove_testkit::CountingAlloc`] as
+//! its global allocator — without it `allocs_per_slot` reads 0.0 and the
 //! throughput numbers are unaffected.
 
 use crate::scale::Scale;
@@ -163,7 +164,7 @@ pub fn measure(
     for _ in 0..rounds {
         let before = counting.decisions();
         let start = Instant::now();
-        let (allocs, ()) = fairmove_testkit::allocs_in(|| {
+        let (allocs, ()) = fairmove_testkit::allocs_in_process(|| {
             for _ in 0..slots_per_round {
                 let feedback = env.step_slot(&mut counting);
                 counting.observe(feedback);
@@ -277,7 +278,7 @@ pub fn measure_sharded(
     for _ in 0..rounds {
         let before = env.decisions();
         let start = Instant::now();
-        let (allocs, ()) = fairmove_testkit::allocs_in(|| {
+        let (allocs, ()) = fairmove_testkit::allocs_in_process(|| {
             env.run(slots_per_round as u32, threads);
         });
         let secs = start.elapsed().as_secs_f64();

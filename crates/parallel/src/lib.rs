@@ -5,8 +5,13 @@
 //! matmuls inside them — are embarrassingly parallel *and* must stay
 //! bit-identical to the serial path: every result file, ledger, and
 //! run-report line is compared byte-for-byte in tests. This crate provides
-//! the two primitives that make that combination easy:
+//! one threading primitive and two one-shot helpers built on it:
 //!
+//! * [`Pool`] — a persistent set of parked worker threads, woken once per
+//!   batch. Workers claim items from a shared atomic cursor; the calling
+//!   thread is the last worker, and a batch returns only after every helper
+//!   finished it. The sharded engine keeps one per `ShardedEnv` and steps
+//!   its shards on it every slot.
 //! * [`ordered_map`] — fan a batch of independent jobs across worker
 //!   threads, collecting results **in submission order**. Workers race for
 //!   *which* job to run next, never for *where* its result lands, so output
@@ -15,7 +20,9 @@
 //!   hand disjoint chunks to workers. Used for row-partitioned matmul where
 //!   each output row is written by exactly one thread.
 //!
-//! Neither primitive imposes an ordering on *observable side effects* of
+//! The two helpers run on a [`Pool`] that lives for one call.
+//!
+//! No primitive imposes an ordering on *observable side effects* of
 //! the jobs themselves; jobs that must compose deterministically have to be
 //! independent (own RNG, own telemetry registry, no shared mutable state).
 //! That contract is what `Runner::compare` and the bench binaries uphold.
@@ -25,8 +32,11 @@
 //! variants take an explicit count so tests and benches can pin 1/2/4
 //! without touching the environment.
 
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// Effective worker count: `FAIRMOVE_THREADS` if set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`]. Cached for the process
@@ -76,6 +86,246 @@ pub fn parse_thread_count(raw: Option<&str>, default: usize) -> Result<usize, St
     }
 }
 
+/// A persistent set of worker threads for repeated fan-outs.
+///
+/// `Pool::new(threads)` spawns `threads − 1` parked helper threads; the
+/// thread that calls [`Pool::for_each`] or [`Pool::ordered_map`] is the
+/// last worker. Each batch wakes the helpers once, every worker claims
+/// items from one shared atomic cursor (a slow item does not stall the
+/// queue behind it), and the call returns only after every helper has
+/// finished the batch. A panic on any worker is re-raised on the caller
+/// once the batch is over, and the pool stays usable for the next batch.
+///
+/// The pool owns its helpers: dropping it wakes them, and `Drop` joins
+/// every one, so no helper outlives its pool. A pool of one thread spawns
+/// nothing and runs every batch inline, in order.
+pub struct Pool {
+    threads: usize,
+    shared: Arc<Shared>,
+    helpers: Vec<JoinHandle<()>>,
+}
+
+/// The job a batch hands every worker: its claim loop. The lifetime is
+/// erased in [`Pool::run`], which alone publishes it.
+type Job = &'static (dyn Fn() + Sync);
+
+/// Everything the caller and the helpers exchange, under one lock.
+#[derive(Default)]
+struct State {
+    /// Bumped once per batch; each helper runs each generation once.
+    generation: u64,
+    /// The current batch's job, set for exactly as long as a batch runs.
+    job: Option<Job>,
+    /// Helpers that have not finished the current batch yet.
+    running: usize,
+    /// The first panic a helper raised in the current batch.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set by `Drop`: helpers exit instead of waiting for a batch.
+    shutdown: bool,
+}
+
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+    /// Wakes the helpers: a new batch, or shutdown.
+    start: Condvar,
+    /// Wakes the caller: the last helper finished the batch.
+    done: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // No code panics while holding the lock (jobs run outside it), so
+        // a poisoned lock still guards a consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Pool {
+    /// A pool of `threads` workers (at least one): the calling thread plus
+    /// `threads − 1` parked helpers.
+    pub fn new(threads: usize) -> Pool {
+        let threads = threads.max(1);
+        let shared = Arc::new(Shared::default());
+        let helpers = (1..threads)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("fairmove-pool-{i}"))
+                    .spawn(move || helper_loop(&shared))
+                    .expect("spawning a pool thread")
+            })
+            .collect();
+        Pool {
+            threads,
+            shared,
+            helpers,
+        }
+    }
+
+    /// Workers per batch, the calling thread included.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Calls `f(i)` exactly once for every `i` in `0..n`, spread over the
+    /// pool's workers by dynamic claim. With one thread, or fewer than two
+    /// items, the calls run inline in ascending order. Allocates nothing.
+    ///
+    /// # Panics
+    /// Re-raises the first panic raised by `f`, after every worker has
+    /// finished the batch.
+    pub fn for_each<F>(&mut self, n: usize, f: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        if self.helpers.is_empty() || n <= 1 {
+            (0..n).for_each(f);
+            return;
+        }
+        let cursor = AtomicUsize::new(0);
+        self.run(&|| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            f(i);
+        });
+    }
+
+    /// Applies `f` to every item on the pool's workers and returns the
+    /// results **in the order the items were submitted**: workers race for
+    /// *which* item to run next, never for *where* its result lands.
+    ///
+    /// # Panics
+    /// Re-raises the first panic raised by `f`.
+    pub fn ordered_map<T, R, F>(&mut self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        let n = items.len();
+        if self.helpers.is_empty() || n <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.for_each(n, |i| {
+            let item = jobs[i]
+                .lock()
+                .expect("job slot poisoned")
+                .take()
+                .expect("job claimed twice");
+            let result = f(item);
+            *slots[i].lock().expect("result slot poisoned") = Some(result);
+        });
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("worker exited without storing a result")
+            })
+            .collect()
+    }
+
+    /// Runs `job` once on every worker, the caller included, and returns
+    /// after the last helper has finished it.
+    fn run(&mut self, job: &(dyn Fn() + Sync)) {
+        // SAFETY: the transmute only erases the lifetime of `job`, which
+        // borrows the caller's stack. The erased reference is reachable
+        // solely through `State::job`, and it is never used after `run`
+        // returns or unwinds:
+        // * a helper copies it out under the lock when it sees the new
+        //   generation, and its copy goes out of scope before it
+        //   decrements `running` under the lock (`helper_loop`);
+        // * `run` publishes it with `running = helpers`, then waits until
+        //   `running == 0` and clears `State::job` before returning, so no
+        //   helper holds or can still fetch it afterwards;
+        // * the caller's own share runs under `catch_unwind`, so a panic
+        //   there cannot skip the wait: it is caught, the helpers are
+        //   waited for, and only then is the panic resumed. Nothing
+        //   between publishing and the end of the wait can panic: the
+        //   lock is recovered from poisoning rather than unwrapped.
+        // `&mut self` rules out a second batch on the same pool while one
+        // runs.
+        let job: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+        {
+            let mut state = self.shared.lock();
+            state.generation += 1;
+            state.job = Some(job);
+            state.running = self.helpers.len();
+        }
+        self.shared.start.notify_all();
+        let mine = std::panic::catch_unwind(AssertUnwindSafe(job));
+        // Each helper decrements `running` under the lock after its share,
+        // so seeing 0 here also orders every helper's writes before ours.
+        let mut state = self.shared.lock();
+        while state.running > 0 {
+            state = self
+                .shared
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
+        let theirs = state.panic.take();
+        drop(state);
+        if let Err(payload) = mine {
+            std::panic::resume_unwind(payload);
+        }
+        if let Some(payload) = theirs {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// A helper's life: wait for a new generation, run its job, report back;
+/// exit on shutdown.
+fn helper_loop(shared: &Shared) {
+    let mut seen = 0u64;
+    loop {
+        let outcome = {
+            let job = {
+                let mut state = shared.lock();
+                while state.generation == seen && !state.shutdown {
+                    state = shared
+                        .start
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if state.shutdown {
+                    return;
+                }
+                seen = state.generation;
+                state.job.expect("a new generation publishes its job")
+            };
+            std::panic::catch_unwind(AssertUnwindSafe(job))
+        };
+        let mut state = shared.lock();
+        if let Err(payload) = outcome {
+            state.panic.get_or_insert(payload);
+        }
+        state.running -= 1;
+        if state.running == 0 {
+            shared.done.notify_one();
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.start.notify_all();
+        for helper in self.helpers.drain(..) {
+            // Helpers catch every job panic, so a join error cannot carry
+            // a panic the caller has not already seen.
+            let _ = helper.join();
+        }
+    }
+}
+
 /// [`ordered_map_threads`] with the process-wide [`thread_count`].
 pub fn ordered_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
@@ -89,9 +339,9 @@ where
 /// Applies `f` to every item, using up to `threads` OS threads, and returns
 /// the results **in the order the items were submitted**.
 ///
-/// Jobs are claimed from a shared atomic cursor (dynamic load balancing:
-/// a slow job does not stall the queue behind it), but each result is
-/// written into the slot of its input index, so the returned `Vec` is
+/// This is [`Pool::ordered_map`] on a pool that lives for this one call:
+/// jobs are claimed from a shared atomic cursor, but each result is written
+/// into the slot of its input index, so the returned `Vec` is
 /// indistinguishable from `items.into_iter().map(f).collect()` as long as
 /// `f` itself is deterministic and the jobs are independent.
 ///
@@ -110,42 +360,7 @@ where
     if threads <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let workers = threads.min(n);
-    let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let item = jobs[idx]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job claimed twice");
-                    let result = f(item);
-                    *slots[idx].lock().expect("result slot poisoned") = Some(result);
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker exited without storing a result")
-        })
-        .collect()
+    Pool::new(threads.min(n)).ordered_map(items, f)
 }
 
 /// [`par_chunks_mut_threads`] with the process-wide [`thread_count`].
@@ -159,7 +374,7 @@ where
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last
 /// chunk may be shorter) and calls `f(chunk_index, chunk)` for each, using
-/// up to `threads` OS threads.
+/// up to `threads` OS threads of a pool that lives for this one call.
 ///
 /// Chunks are disjoint, so each element is written by exactly one thread;
 /// as long as `f`'s output for a chunk depends only on `(chunk_index,
@@ -184,45 +399,26 @@ where
         }
         return;
     }
-    let workers = threads.min(n_chunks);
-    // One claimable slot per chunk: a worker takes the (index, chunk) pair
-    // exactly once under the slot's own mutex.
-    type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
-    let jobs: Vec<ChunkSlot<'_, T>> = data
+    // One claimable slot per chunk: a worker takes the chunk exactly once
+    // under the slot's own mutex.
+    let chunks: Vec<Mutex<Option<&mut [T]>>> = data
         .chunks_mut(chunk_len)
-        .enumerate()
-        .map(|j| Mutex::new(Some(j)))
+        .map(|c| Mutex::new(Some(c)))
         .collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let at = cursor.fetch_add(1, Ordering::Relaxed);
-                    if at >= n_chunks {
-                        break;
-                    }
-                    let (idx, chunk) = jobs[at]
-                        .lock()
-                        .expect("chunk slot poisoned")
-                        .take()
-                        .expect("chunk claimed twice");
-                    f(idx, chunk);
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
+    Pool::new(threads.min(n_chunks)).for_each(n_chunks, |idx| {
+        let chunk = chunks[idx]
+            .lock()
+            .expect("chunk slot poisoned")
+            .take()
+            .expect("chunk claimed twice");
+        f(idx, chunk);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn ordered_map_preserves_submission_order() {
@@ -274,6 +470,126 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    fn pool_returns_results_in_submission_order() {
+        for threads in [1, 2, 4] {
+            let mut pool = Pool::new(threads);
+            assert_eq!(pool.threads(), threads);
+            // Several batches on one pool: each reuses the same helpers.
+            for batch in 0..5u64 {
+                let out = pool.ordered_map((0..64u64).collect(), |x| x * x + batch);
+                let expected: Vec<u64> = (0..64).map(|x| x * x + batch).collect();
+                assert_eq!(out, expected, "threads={threads} batch={batch}");
+                let slots: Vec<Mutex<Option<usize>>> = (0..33).map(|_| Mutex::new(None)).collect();
+                pool.for_each(slots.len(), |i| {
+                    let mut slot = slots[i].lock().unwrap();
+                    assert!(slot.is_none(), "item {i} ran twice");
+                    *slot = Some(i * 3);
+                });
+                for (i, slot) in slots.iter().enumerate() {
+                    assert_eq!(*slot.lock().unwrap(), Some(i * 3), "threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_propagates_a_panic_and_runs_the_next_batch() {
+        let message = |payload: Box<dyn Any + Send>| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("panic! with arguments carries a String")
+        };
+        let mut serial = Pool::new(1);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            serial.for_each(4, |i| assert!(i != 2, "item {i} failed"));
+        }));
+        assert_eq!(
+            message(caught.expect_err("inline panic lost")),
+            "item 2 failed"
+        );
+
+        for threads in [2, 4] {
+            let mut pool = Pool::new(threads);
+            let caller = std::thread::current().id();
+            for on_caller in [true, false] {
+                // One item per worker: each blocks at the barrier until
+                // every worker holds one, so the caller and every helper
+                // run exactly one item.
+                let barrier = Barrier::new(threads);
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    pool.for_each(threads, |_| {
+                        barrier.wait();
+                        if (std::thread::current().id() == caller) == on_caller {
+                            panic!("{} failed", if on_caller { "caller" } else { "helper" });
+                        }
+                    });
+                }));
+                let want = if on_caller {
+                    "caller failed"
+                } else {
+                    "helper failed"
+                };
+                let payload = caught.expect_err("the batch's panic must reach the caller");
+                assert_eq!(message(payload), want, "threads={threads}");
+                // The pool survives: its helpers run the next batch in full.
+                let out = pool.ordered_map((0..20u32).collect(), |x| x + 1);
+                assert_eq!(out, (1..21).collect::<Vec<u32>>(), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_thread_pool_spawns_no_thread() {
+        let mut pool = Pool::new(1);
+        assert_eq!(Pool::new(0).threads(), 1, "a pool has at least one worker");
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        pool.for_each(10, |i| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "item {i} left the caller"
+            );
+            order.lock().unwrap().push(i);
+        });
+        assert_eq!(order.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
+        assert!(pool.helpers.is_empty());
+    }
+
+    #[test]
+    fn dropping_a_pool_joins_every_helper() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        /// Counts its thread's exit: thread-local destructors run before
+        /// the thread can be joined.
+        struct ExitProbe;
+        impl Drop for ExitProbe {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static PROBE: ExitProbe = const { ExitProbe };
+        }
+
+        let caller = std::thread::current().id();
+        let mut pool = Pool::new(4);
+        assert_eq!(pool.helpers.len(), 3, "threads − 1 helpers");
+        // One item per worker, held at the barrier until all four run one,
+        // so every helper touches its probe.
+        let barrier = Barrier::new(4);
+        pool.for_each(4, |_| {
+            if std::thread::current().id() != caller {
+                PROBE.with(|_| {});
+            }
+            barrier.wait();
+        });
+        drop(pool);
+        // Every helper has exited by the time `drop` returns.
+        assert_eq!(EXITED.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -321,9 +321,21 @@ impl DispatchCore {
 
     // -- checkpointing -----------------------------------------------------
 
-    /// Serializes the full restorable state (see the module docs).
+    /// Serializes the full restorable state (see the module docs) into a
+    /// buffer sized once: the header, event and policy lengths are known,
+    /// and the environment image is measured by the encoder that writes it.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut policy_blob = Vec::new();
+        self.policy
+            .save(&mut policy_blob)
+            .expect("writing to a Vec cannot fail");
+        let env_len = self.env.state_len();
+        let events: usize = self.events.iter().map(|e| 4 + e.len()).sum();
+        // magic, version, config fingerprint, applied seq, alpha, event
+        // count | events | policy length, policy | rng key, counter, index,
+        // environment length | environment image.
+        let len = 8 + 4 + 8 + 8 + 8 + 4 + events + 8 + policy_blob.len() + 32 + 8 + 4 + 8 + env_len;
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&config_fingerprint(&self.config).to_le_bytes());
@@ -334,10 +346,6 @@ impl DispatchCore {
             out.extend_from_slice(&(e.len() as u32).to_le_bytes());
             out.extend_from_slice(e.as_bytes());
         }
-        let mut policy_blob = Vec::new();
-        self.policy
-            .save(&mut policy_blob)
-            .expect("writing to a Vec cannot fail");
         out.extend_from_slice(&(policy_blob.len() as u64).to_le_bytes());
         out.extend_from_slice(&policy_blob);
         let (key, counter, index) = self.policy.rng_state();
@@ -346,13 +354,9 @@ impl DispatchCore {
         }
         out.extend_from_slice(&counter.to_le_bytes());
         out.extend_from_slice(&index.to_le_bytes());
-        // The environment image, length-prefixed: encoded in place, then
-        // its length patched in.
-        let len_at = out.len();
-        out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&(env_len as u64).to_le_bytes());
         self.env.save_state_into(&mut out);
-        let env_len = (out.len() - len_at - 8) as u64;
-        out[len_at..len_at + 8].copy_from_slice(&env_len.to_le_bytes());
+        debug_assert_eq!(out.len(), len, "checkpoint length mis-sized");
         out
     }
 
@@ -503,6 +507,18 @@ mod tests {
         }
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.ledger(), b.ledger());
+    }
+
+    #[test]
+    fn checkpoint_buffer_is_sized_once() {
+        let mut core = DispatchCore::new(config(), 0.6);
+        for payload in ["STEP F", "EVENT surge 3 1.5 2 6", "DECIDE F", "STEP S"] {
+            core.apply_payload(payload).unwrap();
+        }
+        let payload = core.checkpoint();
+        // No doubling growth: the capacity is exactly the bytes written.
+        assert_eq!(payload.capacity(), payload.len());
+        assert_eq!(core.env.state_len(), core.env.save_state().len());
     }
 
     #[test]

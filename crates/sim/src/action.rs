@@ -46,6 +46,17 @@ impl ActionSet {
         }
     }
 
+    /// The stay-only set `[Stay]`, with room for `n` actions: the seed of a
+    /// pooled set that is rebuilt in place and must never reallocate.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut actions = Vec::with_capacity(n.max(1));
+        actions.push(Action::Stay);
+        ActionSet {
+            actions,
+            n_movement: 1,
+        }
+    }
+
     /// Builds the restricted set for a taxi that must charge (`soc < η`).
     pub fn charge_only(stations: &[StationId]) -> Self {
         assert!(!stations.is_empty(), "must-charge taxi needs stations");
@@ -233,5 +244,15 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.action(0), Action::Stay);
         assert!(!s.charge_forced());
+    }
+
+    #[test]
+    fn with_capacity_is_the_stay_only_set_with_room() {
+        let mut s = ActionSet::with_capacity(8);
+        assert_eq!(s, ActionSet::full(&[], &[]));
+        let buf = s.actions().as_ptr();
+        s.rebuild_full(&neighbors(), &stations());
+        assert_eq!(s, ActionSet::full(&neighbors(), &stations()));
+        assert_eq!(s.actions().as_ptr(), buf, "rebuild within capacity moved");
     }
 }

@@ -39,9 +39,21 @@
 //!    `(arrival kind, taxi id)`, so application order never depends on the
 //!    layout (see [`handoff`]).
 //!
-//! Thread-count invariance is inherited from
-//! [`fairmove_parallel::ordered_map_threads`], which
-//! returns results in submission order regardless of which worker ran what.
+//! Thread-count invariance follows from the slot structure: shards step
+//! independently on the engine's [`fairmove_parallel::Pool`], and every
+//! cross-shard effect (departures, counters) is committed afterwards in
+//! shard-id order, whichever worker stepped which shard.
+//!
+//! # Threads and allocation
+//!
+//! Each `ShardedEnv` owns one persistent pool, sized on the first
+//! [`ShardedEnv::step_slot`] to `min(threads, shards)` workers: the calling
+//! thread plus parked helpers, woken once per slot. A later call with a
+//! different thread count replaces the pool. The engine owns the helpers
+//! and joins them when it is dropped, so no pool thread outlives it. Every
+//! per-slot buffer (inboxes, outboxes, vacancy lists, station scratch, the
+//! delivery slab, decision contexts) is kept and reused, so after a
+//! warm-up a slot makes no heap allocation.
 
 pub mod handoff;
 pub mod policy;
@@ -50,9 +62,10 @@ pub mod store;
 
 use fairmove_city::{City, RegionId, SimTime, StationId, TimeSlot, SLOTS_PER_DAY, SLOT_MINUTES};
 use fairmove_data::{ChargingPricing, DemandModel, EnergyModel, FareModel};
-use fairmove_parallel::ordered_map_threads;
+use fairmove_parallel::Pool;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Mutex;
 
 use crate::action::{Action, ActionSet};
 use crate::config::SimConfig;
@@ -157,7 +170,8 @@ struct StepCtx<'a> {
     opportunistic_soc: f64,
 }
 
-/// Everything a shard hands back from one parallel slot step.
+/// Everything a shard hands back from one parallel slot step. Kept in the
+/// shard and cleared per slot, so its buffer is reused.
 #[derive(Debug, Default)]
 struct StepOutput {
     /// `(arrival slot, flight)` in this shard's emission order (phase-A balk
@@ -170,6 +184,15 @@ struct StepOutput {
     trips_unserved: u64,
 }
 
+impl StepOutput {
+    fn clear(&mut self) {
+        self.departures.clear();
+        self.decisions = 0;
+        self.trips_served = 0;
+        self.trips_unserved = 0;
+    }
+}
+
 /// One shard: the taxis and stations of a contiguous region range, the
 /// range's RNG streams, and this shard's policy instance plus its pooled
 /// decision scratch.
@@ -179,9 +202,14 @@ struct Shard {
     region_hi: u16,
     taxis: TaxiStore,
     stations: StationStore,
-    /// Vacant taxi ids per owned region (local index `region - region_lo`);
-    /// sorted ascending at the start of each region's decision pass.
-    vacant: Vec<Vec<u32>>,
+    /// Vacant taxis as `(local region, taxi id)`, local region being
+    /// `region - region_lo`. Between slots the list is grouped by region
+    /// ascending, ids ascending within a region; deliveries and station
+    /// returns append, and phase C sorts before deciding.
+    vacant: Vec<(u16, u32)>,
+    /// The second vacancy buffer: phase C reads last slot's list from one
+    /// and writes the survivors into the other.
+    vacant_spare: Vec<(u16, u32)>,
     /// Per-region RNG streams (same local indexing).
     streams: Vec<StdRng>,
     /// Unserved-request scratch per owned region, refreshed each slot.
@@ -191,10 +219,20 @@ struct Shard {
     policy: Box<dyn ShardPolicy>,
     /// Pooled decision contexts, reused across regions and slots.
     ctx_pool: Vec<DecisionContext>,
+    /// Largest action set of any owned region: every pooled context is
+    /// reserved to it, so no rebuild reallocates.
+    max_actions: usize,
     /// Per-region action answers from the policy.
     action_buf: Vec<Action>,
     /// Abandoning-taxi scratch for the patience sweep.
     abandon_buf: Vec<u32>,
+    /// Sessions finished at one station this slot (phase-B scratch).
+    finished_buf: Vec<ChargeSession>,
+    /// This slot's deliveries to this shard, routed by the serial slot
+    /// start.
+    inbox: Vec<InFlight>,
+    /// This slot's departures and counters, read by the serial commit.
+    out: StepOutput,
 }
 
 impl Shard {
@@ -234,21 +272,25 @@ impl Shard {
     }
 
     /// Applies one slot: deliveries, station maintenance, then per-region
-    /// decisions. Reads only `ctx` (immutable, previous-slot observation)
-    /// and its own state, so the result depends solely on
+    /// decisions, leaving departures and counters in `self.out`. Reads only
+    /// `ctx` (immutable, previous-slot observation) and its own state
+    /// (inbox included), so the result depends solely on
     /// `(shard state, ctx)`.
-    fn step(&mut self, ctx: &StepCtx<'_>, inbox: Vec<InFlight>) -> StepOutput {
-        let mut out = StepOutput::default();
+    fn step(&mut self, ctx: &StepCtx<'_>) {
+        self.out.clear();
         self.waiting.iter_mut().for_each(|w| *w = 0);
 
-        // Phase A — deliveries, pre-sorted by (arrival kind, taxi id).
-        for flight in inbox {
+        // Phase A — deliveries, in the canonical (arrival kind, taxi id)
+        // order.
+        let mut inbox = std::mem::take(&mut self.inbox);
+        inbox.sort_unstable_by_key(|f| (f.arrival, f.row.id));
+        for &flight in &inbox {
             match flight.arrival {
                 ArrivalKind::BecomeVacant { region } => {
                     let id = flight.row.id;
                     self.taxis.insert(flight.row);
                     let l = self.local(region);
-                    self.vacant[l].push(id);
+                    self.vacant.push((l as u16, id));
                 }
                 ArrivalKind::JoinStation { station } => {
                     let st = self
@@ -265,7 +307,7 @@ impl Shard {
                         >= BALK_QUEUE_FACTOR * f64::from(self.stations.points[st]).max(1.0);
                     if hopeless && flight.redirects < MAX_REDIRECTS {
                         if let Some(alt) = pick_alternative_station(ctx, StationId(station)) {
-                            self.redirect(ctx, flight, StationId(station), alt, &mut out);
+                            self.redirect(ctx, flight, StationId(station), alt);
                             continue;
                         }
                     }
@@ -279,10 +321,13 @@ impl Shard {
                 }
             }
         }
+        inbox.clear();
+        self.inbox = inbox;
 
         // Phase B — station maintenance in station-id order: finish
         // sessions, admit queued taxis to freed points, then sweep the
         // queue for drivers whose patience ran out.
+        let mut finished = std::mem::take(&mut self.finished_buf);
         for st in 0..self.stations.len() {
             let host = ctx
                 .city
@@ -292,7 +337,6 @@ impl Shard {
             // `<=` makes a session ending exactly on the slot boundary
             // complete in this slot, freeing its point for this slot's
             // admissions.
-            let mut finished = Vec::new();
             self.stations.charging[st].retain(|s| {
                 if s.finish_minute <= ctx.now.0 {
                     finished.push(*s);
@@ -301,10 +345,10 @@ impl Shard {
                     true
                 }
             });
-            for s in finished {
+            for s in finished.drain(..) {
                 self.taxis.set_soc(s.taxi, s.target_soc);
                 self.taxis.credit_charge(s.taxi, s.cost);
-                self.vacant[l].push(s.taxi);
+                self.vacant.push((l as u16, s.taxi));
             }
             while self.stations.free_points(st) > 0 {
                 let Some(entry) = self.stations.queue[st].pop_front() else {
@@ -334,16 +378,26 @@ impl Shard {
                     let _ = self.taxis.remove(taxi);
                 }
                 #[cfg(not(feature = "seeded-bug-shard"))]
-                self.vacant[l].push(taxi);
+                self.vacant.push((l as u16, taxi));
             }
         }
+        self.finished_buf = finished;
 
-        // Phase C — owned regions in ascending region-id order.
-        for l in 0..self.vacant.len() {
+        // Phase C — owned regions in ascending region-id order, each over
+        // its vacant taxis in ascending id order. Survivors are written into
+        // the spare buffer, which becomes the vacancy list.
+        let spare = std::mem::take(&mut self.vacant_spare);
+        let mut vacant = std::mem::replace(&mut self.vacant, spare);
+        vacant.sort_unstable();
+        let mut at = 0;
+        for l in 0..self.waiting.len() {
+            let end = at + vacant[at..].partition_point(|&(r, _)| usize::from(r) == l);
             let region = self.region_lo + l as u16;
-            self.step_region(ctx, region, l, &mut out);
+            self.step_region(ctx, region, l, &vacant[at..end]);
+            at = end;
         }
-        out
+        vacant.clear();
+        self.vacant_spare = vacant;
     }
 
     /// Re-aims an arriving charge excursion at `alt` without entering the
@@ -355,7 +409,6 @@ impl Shard {
         mut flight: InFlight,
         from: StationId,
         alt: StationId,
-        out: &mut StepOutput,
     ) {
         let km = ctx.city.travel().driving_distance(
             ctx.city.station(from).position,
@@ -364,7 +417,7 @@ impl Shard {
         flight.row.soc = (flight.row.soc - ctx.energy.soc_drop(km)).max(0.0);
         let minutes = ctx.city.travel().minutes_for_distance(km, ctx.now).max(1);
         let arrival_slot = ctx.slot + minutes.div_ceil(SLOT_MINUTES).max(1);
-        out.departures.push((
+        self.out.departures.push((
             arrival_slot,
             InFlight {
                 row: flight.row,
@@ -375,15 +428,13 @@ impl Shard {
         ));
     }
 
-    /// One region's slot: idle drain, policy decisions over reference-parity
-    /// contexts (reading the previous slot's observation), then demand draw
-    /// + matching.
-    fn step_region(&mut self, ctx: &StepCtx<'_>, region: u16, l: usize, out: &mut StepOutput) {
-        let mut vac = std::mem::take(&mut self.vacant[l]);
-        vac.sort_unstable();
-
+    /// One region's slot over its vacant taxis `vac` (ascending ids): idle
+    /// drain, policy decisions over reference-parity contexts (reading the
+    /// previous slot's observation), then demand draw + matching. The taxis
+    /// still vacant afterwards are appended to `self.vacant`, in order.
+    fn step_region(&mut self, ctx: &StepCtx<'_>, region: u16, l: usize, vac: &[(u16, u32)]) {
         // Idle cruising drains every vacant taxi one slot's worth of energy.
-        for &id in &vac {
+        for &(_, id) in vac {
             self.taxis.drain_soc(id, ctx.idle_soc_drop);
         }
 
@@ -396,17 +447,24 @@ impl Shard {
         let neighbors: &[RegionId] = &ctx.city.region(rid).neighbors;
         let hours = f64::from(ctx.now.0) / 60.0;
         let n = vac.len();
-        while self.ctx_pool.len() < n {
-            self.ctx_pool.push(DecisionContext {
-                taxi: TaxiId(0),
-                region: rid,
-                soc: 0.0,
-                must_charge: false,
-                pe_standing: 0.0,
-                actions: ActionSet::full(&[], &[]),
-            });
+        if self.ctx_pool.len() < n {
+            // A region's vacancy peak creeps up day over day, and each new
+            // context costs an allocation. Growing to twice the next power
+            // of two leaves headroom, so growth stays rare after warm-up.
+            let max_actions = self.max_actions;
+            self.ctx_pool
+                .resize_with(2 * n.next_power_of_two(), || DecisionContext {
+                    taxi: TaxiId(0),
+                    region: rid,
+                    soc: 0.0,
+                    must_charge: false,
+                    pe_standing: 0.0,
+                    actions: ActionSet::with_capacity(max_actions),
+                });
+            // The policy answers one action per context into `action_buf`.
+            self.action_buf.reserve(self.ctx_pool.len());
         }
-        for (i, &id) in vac.iter().enumerate() {
+        for (i, &(_, id)) in vac.iter().enumerate() {
             let row = self.taxis.get(id).expect("vacant taxi present");
             let must_charge = ctx.energy.must_charge(row.soc);
             let c = &mut self.ctx_pool[i];
@@ -441,13 +499,14 @@ impl Shard {
             &mut self.action_buf,
         );
         debug_assert_eq!(self.action_buf.len(), n, "policy must answer every context");
-        out.decisions += n as u64;
+        self.out.decisions += n as u64;
 
-        let mut keep = Vec::with_capacity(n);
-        for (i, &id) in vac.iter().enumerate() {
+        // Stayers are appended in ascending order; everyone else departs.
+        let stayers = self.vacant.len();
+        for (i, &(_, id)) in vac.iter().enumerate() {
             let action = self.action_buf.get(i).copied().unwrap_or(Action::Stay);
             match self.ctx_pool[i].sanitize(action) {
-                Action::Stay => keep.push(id),
+                Action::Stay => self.vacant.push((l as u16, id)),
                 Action::MoveTo(dest) => {
                     let km = ctx.city.region_driving_distance(rid, dest);
                     self.depart(
@@ -456,7 +515,6 @@ impl Shard {
                         km,
                         ArrivalKind::BecomeVacant { region: dest.0 },
                         true,
-                        out,
                     );
                 }
                 Action::Charge(station) => {
@@ -467,49 +525,40 @@ impl Shard {
                         km,
                         ArrivalKind::JoinStation { station: station.0 },
                         false,
-                        out,
                     );
                 }
             }
         }
-        let mut vac = keep;
 
         // Demand: Poisson(λ) requests, each sampling a gravity destination
         // from this region's stream, matched FIFO to the lowest vacant id.
         let lambda = ctx.demand.intensity(rid, ctx.slot_of_day);
         let requests = poisson(&mut self.streams[l], lambda);
-        let mut cursor = 0usize;
+        let mut cursor = stayers;
         for _ in 0..requests {
             let dest = sample_destination(&mut self.streams[l], ctx, region);
-            if cursor < vac.len() {
-                let id = vac[cursor];
+            if cursor < self.vacant.len() {
+                let id = self.vacant[cursor].1;
                 cursor += 1;
-                out.decisions += 1;
-                out.trips_served += 1;
+                self.out.decisions += 1;
+                self.out.trips_served += 1;
                 let km = trip_distance(ctx, region, dest);
                 let fare = ctx.fare.fare(km, ctx.now.hour_of_day());
-                self.serve(ctx, id, km, fare, dest, out);
+                self.serve(ctx, id, km, fare, dest);
             } else {
-                out.trips_unserved += 1;
+                self.out.trips_unserved += 1;
                 self.waiting[l] += 1;
             }
         }
-        self.vacant[l] = vac.split_off(cursor);
+        // The matched prefix left; the rest stay vacant, in order.
+        self.vacant.drain(stayers..cursor);
     }
 
     /// Removes `id` from the store and emits a fare-free departure covering
     /// `km` of driving: charge excursions and displacement moves
     /// (`is_move`). Revenue-earning passenger trips go through
     /// [`Self::serve`] instead.
-    fn depart(
-        &mut self,
-        ctx: &StepCtx<'_>,
-        id: u32,
-        km: f64,
-        arrival: ArrivalKind,
-        is_move: bool,
-        out: &mut StepOutput,
-    ) {
+    fn depart(&mut self, ctx: &StepCtx<'_>, id: u32, km: f64, arrival: ArrivalKind, is_move: bool) {
         let mut row = self.taxis.remove(id).expect("departing taxi present");
         row.soc = (row.soc - ctx.energy.soc_drop(km)).max(0.0);
         if is_move {
@@ -517,7 +566,7 @@ impl Shard {
         }
         let minutes = ctx.city.travel().minutes_for_distance(km, ctx.now).max(1);
         let arrival_slot = ctx.slot + minutes.div_ceil(SLOT_MINUTES).max(1);
-        out.departures.push((
+        self.out.departures.push((
             arrival_slot,
             InFlight {
                 row,
@@ -529,22 +578,14 @@ impl Shard {
     }
 
     /// Serves one passenger trip from `region` to `dest`.
-    fn serve(
-        &mut self,
-        ctx: &StepCtx<'_>,
-        id: u32,
-        km: f64,
-        fare: f64,
-        dest: u16,
-        out: &mut StepOutput,
-    ) {
+    fn serve(&mut self, ctx: &StepCtx<'_>, id: u32, km: f64, fare: f64, dest: u16) {
         let mut row = self.taxis.remove(id).expect("matched taxi present");
         row.soc = (row.soc - ctx.energy.soc_drop(km)).max(0.0);
         row.revenue += fare;
         row.trips += 1;
         let minutes = ctx.city.travel().minutes_for_distance(km, ctx.now).max(1) + PICKUP_MINUTES;
         let arrival_slot = ctx.slot + minutes.div_ceil(SLOT_MINUTES).max(1);
-        out.departures.push((
+        self.out.departures.push((
             arrival_slot,
             InFlight {
                 row,
@@ -671,6 +712,11 @@ pub struct ShardedEnv {
     demand: DemandModel,
     map: ShardMap,
     shards: Vec<Shard>,
+    /// One claim cell per shard: during a slot step each shard is parked
+    /// here so any pool worker can take it by index.
+    cells: Vec<Mutex<Option<Shard>>>,
+    /// The workers that step the shards (see the module docs).
+    pool: Pool,
     schedule: DeliverySchedule,
     /// The frozen global observation decisions in the *next* slot will read;
     /// rebuilt serially after every commit.
@@ -714,15 +760,27 @@ impl ShardedEnv {
                     region_hi: hi,
                     taxis: TaxiStore::default(),
                     stations: StationStore::default(),
-                    vacant: vec![Vec::new(); owned],
+                    vacant: Vec::new(),
+                    vacant_spare: Vec::new(),
                     streams: (lo..hi)
                         .map(|r| rng::region_stream(config.seed, RegionId(r)))
                         .collect(),
                     waiting: vec![0; owned],
                     policy: factory(&city),
                     ctx_pool: Vec::new(),
+                    max_actions: (lo..hi)
+                        .map(|r| {
+                            let r = RegionId(r);
+                            1 + city.region(r).neighbors.len()
+                                + city.nearest_stations().nearest(r).len()
+                        })
+                        .max()
+                        .unwrap_or(1),
                     action_buf: Vec::new(),
                     abandon_buf: Vec::new(),
+                    finished_buf: Vec::new(),
+                    inbox: Vec::new(),
+                    out: StepOutput::default(),
                 }
             })
             .collect();
@@ -747,18 +805,21 @@ impl ShardedEnv {
                 charges: 0,
             };
             let shard = &mut shards[s];
-            let l = usize::from(region - shard.region_lo);
+            let l = region - shard.region_lo;
             shard.taxis.insert(row);
-            shard.vacant[l].push(i);
+            shard.vacant.push((l, i));
         }
 
+        let schedule = DeliverySchedule::with_capacity(config.fleet_size);
         let mut env = ShardedEnv {
             config,
             city,
             demand,
             map,
+            cells: shards.iter().map(|_| Mutex::new(None)).collect(),
+            pool: Pool::new(1),
             shards,
-            schedule: DeliverySchedule::default(),
+            schedule,
             obs: SlotObservation::default(),
             pe_buf: Vec::new(),
             slot: 0,
@@ -795,10 +856,11 @@ impl ShardedEnv {
         obs.inbound_per_station.clear();
         obs.inbound_per_station.resize(n_stations, 0);
         for shard in &self.shards {
-            for l in 0..shard.vacant.len() {
-                let r = usize::from(shard.region_lo) + l;
-                obs.vacant_per_region[r] = shard.vacant[l].len() as u32;
-                obs.waiting_per_region[r] = shard.waiting[l];
+            for &(l, _) in &shard.vacant {
+                obs.vacant_per_region[usize::from(shard.region_lo + l)] += 1;
+            }
+            for (l, &waiting) in shard.waiting.iter().enumerate() {
+                obs.waiting_per_region[usize::from(shard.region_lo) + l] = waiting;
             }
             for st in 0..shard.stations.len() {
                 let sid = usize::from(shard.stations.station_ids[st]);
@@ -857,10 +919,9 @@ impl ShardedEnv {
         let slot = self.slot;
         let n_shards = self.map.len();
 
-        // Route due arrivals to owning shards and sort each inbox into the
-        // canonical application order.
-        let mut inboxes: Vec<Vec<InFlight>> = vec![Vec::new(); n_shards];
-        for flight in self.schedule.drain_due(slot) {
+        // Route due arrivals to their owning shards' inboxes; each shard
+        // sorts its own into the canonical application order.
+        self.schedule.drain_due(slot, |flight| {
             let s = match flight.arrival {
                 ArrivalKind::BecomeVacant { region } => self.map.shard_of_region(region),
                 ArrivalKind::JoinStation { station } => self
@@ -870,14 +931,18 @@ impl ShardedEnv {
             if flight.from_shard as usize != s {
                 self.cross_shard_handoffs += 1;
             }
-            inboxes[s].push(flight);
-        }
-        for inbox in &mut inboxes {
-            inbox.sort_unstable_by_key(|f| (f.arrival, f.row.id));
-        }
+            self.shards[s].inbox.push(flight);
+        });
 
-        let shards = std::mem::take(&mut self.shards);
-        let work: Vec<(Shard, Vec<InFlight>)> = shards.into_iter().zip(inboxes).collect();
+        let workers = threads.clamp(1, n_shards);
+        if self.pool.threads() != workers {
+            self.pool = Pool::new(workers);
+        }
+        for (cell, shard) in self.cells.iter_mut().zip(self.shards.drain(..)) {
+            *cell
+                .get_mut()
+                .expect("shard cell poisoned by a failed step") = Some(shard);
+        }
         let now = SimTime(slot * SLOT_MINUTES);
         let ctx = StepCtx {
             city: &self.city,
@@ -893,25 +958,33 @@ impl ShardedEnv {
                 / self.config.energy.battery_kwh,
             opportunistic_soc: self.config.opportunistic_charge_soc,
         };
-        let results = ordered_map_threads(threads, work, |(mut shard, inbox)| {
-            let out = shard.step(&ctx, inbox);
-            (shard, out)
+        let cells = &self.cells;
+        self.pool.for_each(n_shards, |s| {
+            cells[s]
+                .lock()
+                .expect("shard cell poisoned by a failed step")
+                .as_mut()
+                .expect("shard parked for the step")
+                .step(&ctx);
         });
+        self.shards.extend(self.cells.iter_mut().map(|cell| {
+            cell.get_mut()
+                .expect("shard cell poisoned by a failed step")
+                .take()
+                .expect("shard returned by the step")
+        }));
 
         // Serial commit in shard-id order: each arrival slot's schedule
         // batch is a layout-invariant multiset (see `handoff`), and the
         // counters are plain sums.
-        let mut shards = Vec::with_capacity(n_shards);
-        for (shard, out) in results {
-            for (arrival_slot, flight) in out.departures {
+        for shard in &self.shards {
+            for &(arrival_slot, flight) in &shard.out.departures {
                 self.schedule.push(arrival_slot, flight);
             }
-            self.decisions += out.decisions;
-            self.trips_served += out.trips_served;
-            self.trips_unserved += out.trips_unserved;
-            shards.push(shard);
+            self.decisions += shard.out.decisions;
+            self.trips_served += shard.out.trips_served;
+            self.trips_unserved += shard.out.trips_unserved;
         }
-        self.shards = shards;
 
         self.slot += 1;
         self.rebuild_observation();
@@ -1035,11 +1108,8 @@ impl ShardedEnv {
         let fleet = self.config.fleet_size;
         let mut locs: Vec<(u8, u32, u32, u64)> = vec![(0, 0, 0, 0); fleet];
         for shard in &self.shards {
-            for l in 0..shard.vacant.len() {
-                let region = u32::from(shard.region_lo) + l as u32;
-                for &id in &shard.vacant[l] {
-                    locs[id as usize] = (VACANT, region, 0, 0);
-                }
+            for &(l, id) in &shard.vacant {
+                locs[id as usize] = (VACANT, u32::from(shard.region_lo + l), 0, 0);
             }
             for st in 0..shard.stations.len() {
                 let sid = u32::from(shard.stations.station_ids[st]);
@@ -1235,15 +1305,14 @@ mod tests {
         assert_ne!(a2.digest(), b2.digest(), "seed change did not reach digest");
     }
 
-    /// Pops taxi `id` out of whichever vacant list holds it, returning its
+    /// Pops taxi `id` out of whichever vacancy list holds it, returning its
     /// (shard, local region) location.
     fn pop_vacant(env: &mut ShardedEnv, id: u32) -> (usize, usize) {
         for s in 0..env.shards.len() {
-            for l in 0..env.shards[s].vacant.len() {
-                if let Some(pos) = env.shards[s].vacant[l].iter().position(|&v| v == id) {
-                    env.shards[s].vacant[l].swap_remove(pos);
-                    return (s, l);
-                }
+            let vacant = &mut env.shards[s].vacant;
+            if let Some(pos) = vacant.iter().position(|&(_, v)| v == id) {
+                let (l, _) = vacant.remove(pos);
+                return (s, usize::from(l));
             }
         }
         panic!("taxi {id} not vacant anywhere");
@@ -1403,9 +1472,13 @@ mod tests {
         assert_eq!(obs.now.0, 12 * SLOT_MINUTES);
         // Vacant counts must match the stores exactly.
         for s in &env.shards {
-            for l in 0..s.vacant.len() {
-                let r = usize::from(s.region_lo) + l;
-                assert_eq!(obs.vacant_per_region[r], s.vacant[l].len() as u32);
+            for r in s.region_lo..s.region_hi {
+                let here = s
+                    .vacant
+                    .iter()
+                    .filter(|&&(l, _)| s.region_lo + l == r)
+                    .count();
+                assert_eq!(obs.vacant_per_region[usize::from(r)], here as u32);
             }
         }
         // Inbound must equal the number of station-bound flights.

@@ -9,11 +9,15 @@
 //!
 //! Layout is struct-of-arrays: each logical column (`soc`, `revenue`, …) is
 //! its own `Vec`, indexed by a dense row number. Rows are removed by
-//! swap-remove across every column; `row_of` maps taxi id → row. Columns stay
-//! cache-friendly for the hot per-slot scans (idle drain, digesting) without
-//! paying per-taxi pointer chasing.
+//! swap-remove across every column; `row_of` maps taxi id → row through a
+//! dense id-indexed `Vec` (no hashing; one `u32` per fleet id, ~80 KB per
+//! shard at paper scale). Columns stay cache-friendly for the hot per-slot
+//! scans (idle drain, digesting) without paying per-taxi pointer chasing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+/// `row_of` entry of a taxi that is not present in the store.
+const ABSENT: u32 = u32::MAX;
 
 /// One taxi's portable payload: everything that must travel with the vehicle
 /// when it crosses a shard boundary. Field order here is the canonical
@@ -46,7 +50,9 @@ pub struct TaxiStore {
     trips: Vec<u32>,
     moves: Vec<u32>,
     charges: Vec<u32>,
-    row_of: HashMap<u32, usize>,
+    /// Row of each taxi by global id, [`ABSENT`] when the taxi is elsewhere.
+    /// Grows on insert, so an empty store needs no fleet size.
+    row_of: Vec<u32>,
 }
 
 impl TaxiStore {
@@ -67,11 +73,11 @@ impl TaxiStore {
     /// builds the old row is left in place and a fresh row is appended, which
     /// the engine's invariant auditor will flag through the digest.
     pub fn insert(&mut self, row: TaxiRow) -> usize {
-        debug_assert!(
-            !self.row_of.contains_key(&row.id),
-            "taxi {} inserted twice",
-            row.id
-        );
+        debug_assert!(self.row(row.id).is_none(), "taxi {} inserted twice", row.id);
+        let slot = row.id as usize;
+        if slot >= self.row_of.len() {
+            self.row_of.resize(slot + 1, ABSENT);
+        }
         let idx = self.ids.len();
         self.ids.push(row.id);
         self.soc.push(row.soc);
@@ -80,14 +86,34 @@ impl TaxiStore {
         self.trips.push(row.trips);
         self.moves.push(row.moves);
         self.charges.push(row.charges);
-        self.row_of.insert(row.id, idx);
+        self.row_of[slot] = idx as u32;
         idx
+    }
+
+    /// Row of taxi `id`, if present.
+    #[inline]
+    fn row(&self, id: u32) -> Option<usize> {
+        match self.row_of.get(id as usize) {
+            Some(&idx) if idx != ABSENT => Some(idx as usize),
+            _ => None,
+        }
+    }
+
+    /// Row of taxi `id`.
+    ///
+    /// # Panics
+    /// Panics if the taxi is not present (engine-internal misuse).
+    #[inline]
+    fn row_present(&self, id: u32) -> usize {
+        self.row(id)
+            .unwrap_or_else(|| panic!("taxi {id} not present in this store"))
     }
 
     /// Removes a taxi by id, returning its payload (swap-remove on every
     /// column). Returns `None` if the taxi is not present.
     pub fn remove(&mut self, id: u32) -> Option<TaxiRow> {
-        let idx = self.row_of.remove(&id)?;
+        let idx = self.row(id)?;
+        self.row_of[id as usize] = ABSENT;
         let row = TaxiRow {
             id: self.ids.swap_remove(idx),
             soc: self.soc.swap_remove(idx),
@@ -99,14 +125,14 @@ impl TaxiStore {
         };
         if idx < self.ids.len() {
             // The former last row moved into `idx`; repoint its id.
-            self.row_of.insert(self.ids[idx], idx);
+            self.row_of[self.ids[idx] as usize] = idx as u32;
         }
         Some(row)
     }
 
     /// Copies out a taxi's payload without removing it.
     pub fn get(&self, id: u32) -> Option<TaxiRow> {
-        let idx = *self.row_of.get(&id)?;
+        let idx = self.row(id)?;
         Some(TaxiRow {
             id: self.ids[idx],
             soc: self.soc[idx],
@@ -123,25 +149,25 @@ impl TaxiStore {
     /// # Panics
     /// Panics if the taxi is not present (engine-internal misuse).
     pub fn soc(&self, id: u32) -> f64 {
-        self.soc[self.row_of[&id]]
+        self.soc[self.row_present(id)]
     }
 
     /// Drains `kwh_fraction` (already normalized by battery capacity) from
     /// taxi `id`'s charge, clamping at zero.
     pub fn drain_soc(&mut self, id: u32, soc_drop: f64) {
-        let idx = self.row_of[&id];
+        let idx = self.row_present(id);
         self.soc[idx] = (self.soc[idx] - soc_drop).max(0.0);
     }
 
     /// Sets taxi `id`'s state of charge (after a charge session completes).
     pub fn set_soc(&mut self, id: u32, soc: f64) {
-        let idx = self.row_of[&id];
+        let idx = self.row_present(id);
         self.soc[idx] = soc;
     }
 
     /// Credits a completed charge session: charging cost plus session count.
     pub fn credit_charge(&mut self, id: u32, session_cost: f64) {
-        let idx = self.row_of[&id];
+        let idx = self.row_present(id);
         self.cost[idx] += session_cost;
         self.charges[idx] += 1;
     }
@@ -232,7 +258,8 @@ impl StationStore {
         self.station_ids.push(station_id);
         self.points.push(points);
         self.queue.push(VecDeque::new());
-        self.charging.push(Vec::new());
+        // A station never charges more taxis than it has points.
+        self.charging.push(Vec::with_capacity(points as usize));
     }
 
     /// Shard-local slot of global station `station_id`, if owned here.
@@ -347,6 +374,22 @@ mod tests {
         assert_eq!(r4.soc, 0.9);
         assert_eq!(r4.cost, 12.5);
         assert_eq!(r4.charges, 1);
+    }
+
+    #[test]
+    fn dense_index_grows_on_insert_and_reports_absent_ids() {
+        let mut store = TaxiStore::default();
+        // Ids past the index, and ids never inserted, are simply absent.
+        assert!(store.get(20_000).is_none());
+        assert!(store.remove(5).is_none());
+        store.insert(row(7));
+        assert!(store.get(3).is_none());
+        assert!(store.get(8).is_none());
+        assert_eq!(store.get(7).unwrap().id, 7);
+        // A removed taxi leaves its index entry absent, not stale.
+        store.remove(7);
+        assert!(store.get(7).is_none());
+        assert!(store.is_empty());
     }
 
     #[test]

@@ -122,6 +122,15 @@ impl Enc for Vec<u8> {
     }
 }
 
+/// The byte count of everything put so far.
+struct Len(usize);
+
+impl Enc for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// A running FNV-1a hash of everything put so far.
 struct Fnv(u64);
 
@@ -452,6 +461,15 @@ impl Environment {
     /// Appends the [`Environment::save_state`] image to `out`.
     pub fn save_state_into(&self, out: &mut Vec<u8>) {
         self.encode_state(out);
+    }
+
+    /// Byte length of the [`Environment::save_state`] image, counted by the
+    /// same encoder without building it, so a caller can size a buffer
+    /// once before [`Environment::save_state_into`].
+    pub fn state_len(&self) -> usize {
+        let mut len = Len(0);
+        self.encode_state(&mut len);
+        len.0
     }
 
     /// Continues the FNV-1a hash `h` over the [`Environment::save_state`]

@@ -18,9 +18,10 @@
 //!   fault events, halve regions) to a minimal repro printed as a
 //!   ready-to-paste regression test.
 //! * **Allocation counting** ([`counting_alloc`]) — a [`std::alloc::System`]
-//!   -delegating global allocator with thread-local event counters and an
-//!   [`allocs_in`] probe, so the hot path's zero-steady-state-allocation
-//!   contract is an assertable test, not a code-review convention.
+//!   -delegating global allocator with thread-local and process-wide event
+//!   counters and the [`allocs_in`] / [`allocs_in_process`] probes, so the
+//!   hot path's zero-steady-state-allocation contract is an assertable
+//!   test, not a code-review convention.
 //!
 //! Environment knobs (all optional):
 //!
@@ -39,7 +40,7 @@ pub mod oracle;
 pub mod scenario;
 
 pub use canon::{canon_comparison, canon_ledger, canon_snapshot};
-pub use counting_alloc::{allocs_in, CountingAlloc};
+pub use counting_alloc::{allocs_in, allocs_in_process, CountingAlloc};
 pub use differential::{shard_differential_fidelity, FidelityReport};
 pub use driver::{DriverConfig, DriverReport, Failure};
 pub use golden::{assert_golden, GoldenMismatch};

@@ -19,8 +19,9 @@
 //!
 //! The sharded engine's CMA2C path runs the same dispatcher, so one test
 //! holds a frozen [`Cma2cShardPolicy`]'s `decide_region` to the same
-//! envelope on a captured test-scale region (the engine's own slot
-//! stepping is not yet inside it).
+//! envelope on a captured test-scale region, and another holds a whole
+//! [`ShardedEnv::step_slot`] to it after a one-day warm-up, under both
+//! greedy and frozen CMA2C dispatch.
 //!
 //! Known, deliberate exclusions from the zero-alloc envelope (all inactive
 //! here): fault plans (the observation-staleness history ring clones per
@@ -32,7 +33,7 @@ use fairmove_city::{City, RegionId};
 use fairmove_sim::shard::rng::region_stream;
 use fairmove_sim::{
     Action, DecisionContext, DisplacementPolicy, Environment, GreedyDeficitPolicy, ShardPolicy,
-    ShardedEnv, SimConfig, SlotObservation, StayPolicy, Telemetry,
+    ShardPolicyFactory, ShardedEnv, SimConfig, SlotObservation, StayPolicy, Telemetry,
 };
 use fairmove_telemetry::trace;
 use fairmove_testkit::counting_alloc::{allocs_in, CountingAlloc};
@@ -244,6 +245,45 @@ fn shard_decide_region_is_alloc_free_when_frozen() {
             }
         }
     }
+}
+
+/// Slots stepped before a sharded measurement: one simulated day, so every
+/// shard buffer (stores, vacancy lists, station queues, delivery buckets,
+/// decision scratch) has met a whole demand cycle.
+const SHARD_WARMUP_SLOTS: u32 = 144;
+/// Sharded slots measured after the warm-up.
+const SHARD_MEASURED_SLOTS: u32 = 24;
+
+/// A sharded slot step, at one thread (so every shard steps on the counting
+/// thread), allocates nothing once a day of warm-up has grown its buffers:
+/// inboxes, outboxes, vacancy lists, station scratch, delivery buckets and
+/// the policy's decision scratch are all reused.
+fn assert_sharded_step_is_alloc_free(factory: &ShardPolicyFactory, label: &str) {
+    enable_tracing();
+    let mut env = ShardedEnv::with_policy(SimConfig::test_scale(), 4, factory);
+    env.run(SHARD_WARMUP_SLOTS, 1);
+    for _ in 0..SHARD_MEASURED_SLOTS {
+        let slot = env.slot();
+        let (allocs, ()) = allocs_in(|| env.step_slot(1));
+        assert_eq!(
+            allocs, 0,
+            "{label}: sharded slot {slot} performed {allocs} heap allocations"
+        );
+    }
+    assert!(env.decisions() > 0);
+}
+
+#[test]
+fn sharded_step_slot_is_alloc_free_with_greedy_dispatch() {
+    assert_sharded_step_is_alloc_free(&|_| Box::new(GreedyDeficitPolicy::default()), "greedy");
+}
+
+#[test]
+fn sharded_step_slot_is_alloc_free_with_frozen_cma2c() {
+    assert_sharded_step_is_alloc_free(
+        &|city| Box::new(Cma2cShardPolicy::new(city, &Cma2cConfig::default())),
+        "frozen cma2c",
+    );
 }
 
 /// Sanity-check the probe itself: a deliberate allocation inside the closure
